@@ -12,12 +12,16 @@ import (
 // upper bound). Simulated time is divided into fixed-width buckets; pushing
 // appends the event, unsorted, to its bucket — a chain of small record
 // segments drawn from one shared pool — and a bucket is sorted once, when
-// the queue's cursor reaches it and gathers it into the contiguous
-// current-bucket scratch it pops from. With the ring pre-sized from the
-// caller's pending-events hint, occupancy stays at a handful of records,
-// making push and pop amortized O(1) over short contiguous runs of memory
-// instead of the heap's O(log n) cache-missing sift on 10⁶..10⁷-record
-// queues.
+// the queue's cursor reaches it and drains it into the contiguous
+// current-bucket scratch it pops from.
+//
+// The ring has a fixed cache budget, not one slot per pending event: its
+// slots plus the tail segment each slot is filling — the memory every push
+// and every cursor step touches — fit calendarRingBytes whatever the group
+// size, so they stay resident in a core's L2. The bucket width follows
+// from the delay bound and the ring size. A deep queue therefore means
+// coarse buckets of tens to hundreds of records, which sortBucket orders
+// by splitting them into fine sub-buckets on drain (ladder-queue style).
 //
 // Events beyond the bucket window (scenario actions scheduled seconds
 // ahead, closure timers) spill into an overflow 4-ary heap and migrate into
@@ -26,11 +30,12 @@ import (
 // is exactly the kernel's (at, seq) order — the equivalence tests lock the
 // calendar to the heap discipline trace for trace.
 //
-// Every piece of storage — the ring, the segment pool, the scratch, the
-// overflow heap — is retained across Reset and shared across buckets, so
-// occupancy can shift between buckets run over run without ever allocating:
-// a warm arena runs with zero allocations per execution. The zero value is
-// not usable; a Kernel builds one via SetBoundedDelayHint and recycles it.
+// Every piece of storage — the ring, the segment pool, the drain scratch,
+// the overflow heap — is retained across Reset and shared across buckets,
+// so occupancy can shift between buckets run over run without ever
+// allocating: a warm arena runs with zero allocations per execution. The
+// zero value is not usable; a Kernel builds one via SetBoundedDelayHint and
+// recycles it.
 type CalendarQueue struct {
 	widthShift uint        // bucket width = 1<<widthShift nanoseconds
 	buckets    []calBucket // ring: segment-chain endpoints per slot
@@ -44,32 +49,56 @@ type CalendarQueue struct {
 	freeSeg int32
 	cur     []record // the bucket being drained, sorted descending (pop truncates)
 	curAbs  int64    // absolute bucket cur holds, -1 iff cur is empty
+	split   []int32  // drain scratch: per-sub-bucket counts, then slots
+	spill   []record // grow/rebase scratch: one bucket's records
 }
 
-// calBucket addresses one ring slot's unsorted segment chain.
-type calBucket struct{ head, tail int32 }
+// calBucket addresses one ring slot's unsorted segment chain and counts
+// its records. Every segment but the tail is full, so the count also
+// locates the next free record: a push reads the slot alone, never the
+// tail segment it stores into.
+type calBucket struct{ head, tail, n int32 }
 
-// calSegRecords records per segment: 8×32-byte records is four cache lines
-// gathered per hop, against one record per hop for a plain linked list.
+var emptyBucket = calBucket{head: -1, tail: -1}
+
+// calSegRecords records per segment (a power of two): 8×32-byte records
+// is four cache lines gathered per hop, against one record per hop for a
+// plain linked list.
 const calSegRecords = 8
 
 type calSegment struct {
-	n    int32
 	next int32
 	recs [calSegRecords]record
 }
 
+// segLen returns how many records segment s of bucket b holds.
+func (b calBucket) segLen(s int32) int {
+	if s != b.tail {
+		return calSegRecords
+	}
+	return int(b.n-1)&(calSegRecords-1) + 1
+}
+
 const (
+	// calendarRingBytes is the ring's cache budget: its slots plus one
+	// tail segment per slot, half of a 2 MiB L2, leaving the other half
+	// to the records being drained and the run's own state. The ring never
+	// outgrows it, whatever the pending-events hint.
+	calendarRingBytes = 1 << 20
+	// calendarMaxBuckets is the largest power-of-two ring within the
+	// budget: 2¹¹ slots of 12 + 264 bytes, ~552 KiB
+	// (TestCalendarRingFootprintBounded pins the arithmetic). With a
+	// 10 ms delay bound that makes 8 µs buckets.
+	calendarMaxBuckets  = 1 << 11
 	calendarInitBuckets = 256
-	// calendarMaxBuckets caps the ring: beyond it, bucket occupancy grows
-	// linearly instead (still cheap — gathering walks contiguous
-	// segments). 1<<22 ring slots keep n=10⁷-scale runs at ~a dozen
-	// records per bucket for ~32 MB of ring state.
-	calendarMaxBuckets = 1 << 22
 	// calendarGrowAt doubles the ring when mean occupancy exceeds this
 	// load factor — a fallback for callers whose pending-events hint
-	// turned out far too low.
+	// turned out far too low. At calendarMaxBuckets occupancy grows
+	// instead, which the drain's split absorbs.
 	calendarGrowAt = 8
+	// calSplitMaxBits caps a drained bucket's split at 2¹² sub-buckets
+	// (a 16 KiB count table).
+	calSplitMaxBits = 12
 )
 
 // NewCalendarQueue returns an empty calendar sized for the given delay
@@ -82,8 +111,9 @@ func NewCalendarQueue(bound time.Duration, pending int) *CalendarQueue {
 
 // reconfigure empties the queue and re-derives the ring size and bucket
 // width for a new delay bound and pending-count hint, keeping (or growing)
-// the ring so a run-scoped arena reuses warm capacity. Only valid while the
-// queue is empty or being reset.
+// the ring so a run-scoped arena reuses warm capacity. A small hint gets a
+// small ring (cheap to sweep and to clear); any hint past the cache budget
+// gets the budget. Only valid while the queue is empty or being reset.
 func (c *CalendarQueue) reconfigure(bound time.Duration, pending int) {
 	nb := calendarInitBuckets
 	for nb < pending && nb < calendarMaxBuckets {
@@ -91,15 +121,11 @@ func (c *CalendarQueue) reconfigure(bound time.Duration, pending int) {
 	}
 	if nb > len(c.buckets) {
 		c.buckets = make([]calBucket, nb)
-		for i := range c.buckets {
-			c.buckets[i] = calBucket{head: -1, tail: -1}
-		}
 	}
 	c.mask = int64(len(c.buckets) - 1)
 	c.clear()
 	// Smallest width such that the window nb<<shift covers the bound with
-	// a 25% margin: fine-grained buckets (low occupancy) with enough
-	// window that steady-state pushes never touch the overflow heap.
+	// a 25% margin, so steady-state pushes never touch the overflow heap.
 	span := int64(bound) + int64(bound)/4
 	want := (span + int64(len(c.buckets)) - 1) / int64(len(c.buckets))
 	c.widthShift = 0
@@ -112,7 +138,7 @@ func (c *CalendarQueue) reconfigure(bound time.Duration, pending int) {
 // capacity.
 func (c *CalendarQueue) clear() {
 	for i := range c.buckets {
-		c.buckets[i] = calBucket{head: -1, tail: -1}
+		c.buckets[i] = emptyBucket
 	}
 	c.count = 0
 	c.base = 0
@@ -132,7 +158,6 @@ func (c *CalendarQueue) allocSeg() int32 {
 	if c.freeSeg >= 0 {
 		i := c.freeSeg
 		c.freeSeg = c.segs[i].next
-		c.segs[i].n = 0
 		c.segs[i].next = -1
 		return i
 	}
@@ -143,17 +168,32 @@ func (c *CalendarQueue) allocSeg() int32 {
 // appendRec appends rec to ring slot ring's segment chain (unsorted).
 func (c *CalendarQueue) appendRec(ring int64, rec record) {
 	b := &c.buckets[ring]
-	if b.head < 0 {
+	i := b.n & (calSegRecords - 1)
+	if b.n == 0 {
 		s := c.allocSeg()
 		b.head, b.tail = s, s
-	} else if c.segs[b.tail].n == calSegRecords {
+	} else if i == 0 {
 		s := c.allocSeg()
 		c.segs[b.tail].next = s
 		b.tail = s
 	}
-	seg := &c.segs[b.tail]
-	seg.recs[seg.n] = rec
-	seg.n++
+	c.segs[b.tail].recs[i] = rec
+	b.n++
+}
+
+// unchain returns bucket b's records in chain order, in the spill
+// scratch, and its segments to the pool.
+func (c *CalendarQueue) unchain(b calBucket) []record {
+	c.spill = c.spill[:0]
+	for s := b.head; s >= 0; {
+		seg := &c.segs[s]
+		c.spill = append(c.spill, seg.recs[:b.segLen(s)]...)
+		next := seg.next
+		seg.next = c.freeSeg
+		c.freeSeg = s
+		s = next
+	}
+	return c.spill
 }
 
 // push enqueues rec: appended to its bucket when its timestamp falls inside
@@ -217,11 +257,13 @@ func (c *CalendarQueue) insert(rec record) {
 }
 
 // flushCur returns the current-bucket scratch's records to their ring
-// slot's segments, surrendering "being drained" status.
+// slot's segments in fire order, surrendering "being drained" status.
+// Writing them back ascending keeps the chain in seq order across each
+// timestamp, which is what lets sortBucket leave ties where they land.
 func (c *CalendarQueue) flushCur() {
 	ring := c.curAbs & c.mask
-	for _, rec := range c.cur {
-		c.appendRec(ring, rec)
+	for i := len(c.cur) - 1; i >= 0; i-- {
+		c.appendRec(ring, c.cur[i])
 	}
 	c.cur = c.cur[:0]
 	c.curAbs = -1
@@ -241,23 +283,107 @@ func (c *CalendarQueue) ready() {
 	// Scan to the first non-empty bucket. All stored records sit in
 	// [firstHint, base+nb), so the scan is bounded and each empty bucket
 	// is skipped at most once per window pass.
-	for c.buckets[c.firstHint&c.mask].head < 0 {
+	for c.buckets[c.firstHint&c.mask].n == 0 {
 		c.firstHint++
 	}
-	// Gather the bucket's segments into the scratch and sort it once,
-	// while it is small and cache-resident.
-	b := &c.buckets[c.firstHint&c.mask]
+	ring := c.firstHint & c.mask
+	b := c.buckets[ring]
+	c.buckets[ring] = emptyBucket
+	c.sortBucket(b, Time(c.firstHint<<c.widthShift))
+	c.curAbs = c.firstHint
+}
+
+// sortBucket moves bucket b, whose records lie in [start, start+width),
+// into the scratch sorted descending by fire order (the record that fires
+// first ends up last, so pop is a truncation), and returns its segments to
+// the pool.
+//
+// The bucket is split into 2^m fine sub-buckets by time offset, m chosen
+// so there are about as many sub-buckets as records: one pass over the
+// chain counts each sub-bucket, a second scatters every record straight
+// into its sub-bucket's slots of the scratch, and sortDesc orders records
+// that share a sub-bucket — usually none, at one compare per record.
+// Records on one timestamp share a sub-bucket and scatter in chain order,
+// which is seq order (pushes append in seq order, and flushCur writes back
+// ascending), so ties need no moves. Each record is copied once.
+func (c *CalendarQueue) sortBucket(b calBucket, start Time) {
+	k := int(b.n)
+	c.cur = slices.Grow(c.cur[:0], k)[:k]
+	dst := c.cur
+	if b.head == b.tail {
+		// One segment — the common case for small groups, whose rings
+		// hold a record or two per bucket: reversing it and letting
+		// sortDesc order a handful of records beats any split.
+		seg := &c.segs[b.head]
+		for i, rec := range seg.recs[:k] {
+			dst[k-1-i] = rec
+		}
+		seg.next = c.freeSeg
+		c.freeSeg = b.head
+		sortDesc(dst)
+		return
+	}
+	m := min(uint(bits.Len(uint(k))), calSplitMaxBits, c.widthShift)
+	shift := c.widthShift - m
+	c.split = slices.Grow(c.split[:0], 1<<m+1)[:1<<m+1]
+	split := c.split
+	clear(split)
+	for s := b.head; s >= 0; s = c.segs[s].next {
+		for _, rec := range c.segs[s].recs[:b.segLen(s)] {
+			split[uint64(rec.at-start)>>shift+1]++
+		}
+	}
+	for j := 1; j < len(split); j++ {
+		split[j] += split[j-1]
+	}
 	for s := b.head; s >= 0; {
 		seg := &c.segs[s]
-		c.cur = append(c.cur, seg.recs[:seg.n]...)
+		for _, rec := range seg.recs[:b.segLen(s)] {
+			j := uint64(rec.at-start) >> shift
+			dst[k-1-int(split[j])] = rec
+			split[j]++
+		}
 		next := seg.next
 		seg.next = c.freeSeg
 		c.freeSeg = s
 		s = next
 	}
-	b.head, b.tail = -1, -1
-	sortBucket(c.cur)
-	c.curAbs = c.firstHint
+	sortDesc(dst)
+}
+
+// sortDesc sorts b descending by fire order. Insertion sort is linear on
+// the nearly sorted input sortBucket leaves; past a budget of moves the
+// input is far from sorted (a bucket much wider than the spread of its
+// records, with more records than the split has sub-buckets) and heapsort
+// finishes in O(k log k).
+func sortDesc(b []record) {
+	budget := 4*len(b) + 64
+	for i := 1; i < len(b); i++ {
+		rec := b[i]
+		j := i
+		for j > 0 && b[j-1].before(rec) {
+			b[j] = b[j-1]
+			j--
+		}
+		b[j] = rec
+		if budget -= i - j; budget < 0 {
+			heapSortDesc(b)
+			return
+		}
+	}
+}
+
+// heapSortDesc sorts b descending by fire order in place with the
+// overflow heap's primitives: the min-heap's root fires first, and each
+// pass moves it behind the shrinking heap.
+func heapSortDesc(b []record) {
+	for i := (len(b) - 2) / heapArity; i >= 0; i-- {
+		heapSiftDown(b, i)
+	}
+	for end := len(b) - 1; end > 0; end-- {
+		b[0], b[end] = b[end], b[0]
+		heapSiftDown(b[:end], 0)
+	}
 }
 
 // drain migrates overflow records whose buckets have entered the window.
@@ -279,7 +405,7 @@ func (c *CalendarQueue) grow() {
 	old := c.buckets
 	c.buckets = make([]calBucket, 2*len(old))
 	for i := range c.buckets {
-		c.buckets[i] = calBucket{head: -1, tail: -1}
+		c.buckets[i] = emptyBucket
 	}
 	c.mask = int64(len(c.buckets) - 1)
 	if c.widthShift > 0 {
@@ -289,14 +415,8 @@ func (c *CalendarQueue) grow() {
 	}
 	c.count = 0
 	for _, b := range old {
-		for s := b.head; s >= 0; {
-			seg := c.segs[s] // copy, so the slot can be recycled at once
-			c.segs[s].next = c.freeSeg
-			c.freeSeg = s
-			for i := int32(0); i < seg.n; i++ {
-				c.insert(seg.recs[i])
-			}
-			s = seg.next
+		for _, rec := range c.unchain(b) {
+			c.insert(rec)
 		}
 	}
 	// The window end moved; pull in any overflow records it now covers so
@@ -319,22 +439,15 @@ func (c *CalendarQueue) rebase(abs int64) {
 	}
 	end := abs + c.mask + 1
 	if c.count > 0 {
-		for ring := range c.buckets {
-			h := c.buckets[ring].head
-			if h < 0 || c.absBucket(c.segs[h].recs[0].at) < end {
+		for ring, b := range c.buckets {
+			if b.n == 0 || c.absBucket(c.segs[b.head].recs[0].at) < end {
 				continue
 			}
-			for s := h; s >= 0; {
-				seg := c.segs[s] // copy, so the slot can be recycled
-				c.segs[s].next = c.freeSeg
-				c.freeSeg = s
-				for i := int32(0); i < seg.n; i++ {
-					heapPush(&c.overflow, seg.recs[i])
-				}
-				c.count -= int(seg.n)
-				s = seg.next
+			for _, rec := range c.unchain(b) {
+				heapPush(&c.overflow, rec)
 			}
-			c.buckets[ring] = calBucket{head: -1, tail: -1}
+			c.count -= int(b.n)
+			c.buckets[ring] = emptyBucket
 		}
 	}
 	c.base = abs
@@ -379,38 +492,4 @@ func (c *CalendarQueue) pop() record {
 	}
 	c.count--
 	return rec
-}
-
-// sortBucket sorts a gathered bucket descending by fire order (the record
-// that fires first ends up last, so pop is a truncation). Steady-state
-// buckets hold a handful of contiguous records, where insertion sort beats
-// anything indirect — but a bucket is not bounded: a constant-latency
-// model lands a whole message wave on one timestamp (and pushes arrive in
-// ascending seq order, insertion sort's exact worst case against the
-// descending target), which made bucket sorting quadratic in the wave
-// size. Past a small threshold, hand off to the standard pdqsort, which is
-// O(k) on such runs and O(k log k) always.
-func sortBucket(b []record) {
-	if len(b) > 32 {
-		slices.SortFunc(b, func(x, y record) int {
-			switch {
-			case x.before(y):
-				return 1
-			case y.before(x):
-				return -1
-			default:
-				return 0
-			}
-		})
-		return
-	}
-	for i := 1; i < len(b); i++ {
-		rec := b[i]
-		j := i
-		for j > 0 && b[j-1].before(rec) {
-			b[j] = b[j-1]
-			j--
-		}
-		b[j] = rec
-	}
 }

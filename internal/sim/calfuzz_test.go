@@ -105,3 +105,116 @@ func TestCalendarFuzzTyped(t *testing.T) {
 		}
 	}
 }
+
+// fuzzOps decodes fuzz input into a kernel op stream and runs it, returning
+// the fire trace. The same bytes drive the heap reference and the calendar
+// (calendar set) through identical ops; handlers schedule follow-ups from
+// their own arguments, never from shared state, so the two runs can only
+// diverge in fire order.
+func fuzzOps(data []byte, calendar bool) []string {
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	bounds := []time.Duration{50 * time.Microsecond, time.Millisecond, 10 * time.Millisecond, time.Hour}
+	pendings := []int{0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
+	k := New()
+	var tr []string
+	var events []*Event
+	var h HandlerID
+	setup := func() {
+		bound, pending := bounds[next()%len(bounds)], pendings[next()%len(pendings)]
+		if calendar {
+			k.SetBoundedDelayHint(bound, pending)
+		}
+		h = k.RegisterHandler(func(now Time, node, depth int32) {
+			tr = append(tr, fmt.Sprintf("t%d@%d", node, now))
+			if depth > 0 {
+				// Children land inside the window, beyond it, and on
+				// this very timestamp (a tie with later seq).
+				k.Schedule(now.Add(time.Duration(int64(node)*7919%3_000_000)), h, node+1, depth-1)
+				k.Schedule(now, h, node+2, depth-1)
+				if node%5 == 0 {
+					k.Schedule(now.Add(time.Duration(node)*time.Millisecond), h, node+3, depth-1)
+				}
+			}
+		})
+	}
+	setup()
+	delay := func(beyond bool) time.Duration {
+		d := time.Duration(next()<<8|next()) * 50 * time.Nanosecond // up to ~3.3 ms
+		if beyond {
+			d = d*1000 + time.Duration(next())*time.Millisecond // up to ~3.5 s
+		}
+		return d
+	}
+	id := int32(0)
+	for pos < len(data) && len(tr) < 20_000 {
+		switch op := next(); op % 8 {
+		case 0, 1: // typed event inside / beyond the window
+			id += 10
+			k.Schedule(k.Now().Add(delay(op%8 == 1)), h, id, int32(next()%3))
+		case 2, 3: // closure event inside / beyond the window
+			id += 10
+			c := id
+			events = append(events, k.After(delay(op%8 == 3), func() {
+				tr = append(tr, fmt.Sprintf("c%d@%d", c, k.Now()))
+			}))
+		case 4: // cancel, possibly an already fired or canceled event
+			if len(events) > 0 {
+				v := next() % len(events)
+				tr = append(tr, fmt.Sprintf("x%d=%v", v, k.Cancel(events[v])))
+			}
+		case 5: // run to a horizon
+			_ = k.Run(k.Now().Add(delay(next()%4 == 0)))
+			tr = append(tr, fmt.Sprintf("h@%d p=%d", k.Now(), k.Pending()))
+		case 6: // reset and re-hint
+			k.Reset()
+			events = events[:0]
+			tr = append(tr, "reset")
+			setup()
+		case 7: // ties on the current timestamp
+			for i := next() % 8; i >= 0; i-- {
+				id += 10
+				k.Schedule(k.Now(), h, id, 0)
+			}
+		}
+	}
+	_ = k.RunAll()
+	return append(tr, fmt.Sprintf("end@%d fired=%d", k.Now(), k.Fired()))
+}
+
+// FuzzCalendarVsHeap drives the heap and the calendar through the same
+// decoded op stream — typed and closure events inside and beyond the
+// bucket window, cancels, Run horizons, Reset with a re-hint of 0…10⁷
+// pending — and requires identical fire traces. The seed corpus is
+// random streams drawn from the differential tests' seeds 1–20, plus two
+// short hand-written ones.
+func FuzzCalendarVsHeap(f *testing.F) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := xrand.New(seed)
+		b := make([]byte, 64+r.Intn(512))
+		for i := range b {
+			b[i] = byte(r.Uint64())
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{7, 7, 7, 7, 0, 0, 1, 2, 5, 0, 0, 7, 3, 6, 3, 8, 0, 0, 9, 9})
+	f.Add([]byte{1, 1, 9, 9, 3, 2, 9, 9, 9, 4, 0, 5, 1, 0, 0, 6, 2, 8, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := fuzzOps(data, false)
+		got := fuzzOps(data, true)
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("traces diverge at %d: calendar %s, heap %s", i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trace lengths differ: calendar %d, heap %d", len(got), len(want))
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // ---------------------------------------------------------------------------
@@ -418,5 +419,58 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, warm)
 	if allocs != 0 {
 		t.Fatalf("typed schedule+fire path allocates %.1f per 1024-event batch, want 0", allocs)
+	}
+}
+
+// TestCalendarRingFootprintBounded pins the ring's cache budget: the
+// largest ring, slots plus one tail segment each, fits calendarRingBytes
+// (and is the largest power of two that does); a 10⁷ pending hint — the
+// n=10⁷ network's — gets no more than that ring, still covers the delay
+// bound, and a deep hold-model load neither grows it nor allocates once
+// warm.
+func TestCalendarRingFootprintBounded(t *testing.T) {
+	perSlot := int(unsafe.Sizeof(calBucket{}) + unsafe.Sizeof(calSegment{}))
+	if calendarMaxBuckets*perSlot > calendarRingBytes || 2*calendarMaxBuckets*perSlot <= calendarRingBytes {
+		t.Fatalf("%d slots of %d bytes is not the largest power-of-two ring within %d bytes",
+			calendarMaxBuckets, perSlot, calendarRingBytes)
+	}
+	const bound = 10 * time.Millisecond
+	k := New()
+	k.SetBoundedDelayHint(bound, 10_000_000)
+	ringBytes := func() int { return len(k.cal.buckets) * perSlot }
+	if ringBytes() > calendarRingBytes {
+		t.Fatalf("10⁷ hint built a %d-byte ring, budget %d", ringBytes(), calendarRingBytes)
+	}
+	if window := time.Duration(len(k.cal.buckets)) << k.cal.widthShift; window < bound {
+		t.Fatalf("window %v does not cover the %v bound", window, bound)
+	}
+	// Hold model, 1–10 ms delays, depth far past the ring's slot count.
+	const depth = 50_000
+	var h HandlerID
+	h = k.RegisterHandler(func(now Time, node, _ int32) {
+		d := time.Millisecond + time.Duration(uint32(node)*2654435761%9_000_000)
+		k.Schedule(now.Add(d), h, node+1, 0)
+	})
+	for i := 0; i < depth; i++ {
+		k.Schedule(Time(time.Millisecond+time.Duration(i*179)), h, int32(i), 0)
+	}
+	steps := func() {
+		for i := 0; i < depth; i++ {
+			if !k.Step() {
+				t.Fatal("queue ran dry")
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // warm: carry the window across the ring
+		steps()
+	}
+	if allocs := testing.AllocsPerRun(3, steps); allocs != 0 {
+		t.Fatalf("warm hold path allocates %.1f per %d events, want 0", allocs, depth)
+	}
+	if ringBytes() > calendarRingBytes {
+		t.Fatalf("ring grew to %d bytes under load, budget %d", ringBytes(), calendarRingBytes)
+	}
+	if k.Pending() != depth {
+		t.Fatalf("pending %d, want %d", k.Pending(), depth)
 	}
 }

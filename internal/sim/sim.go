@@ -94,6 +94,7 @@ type Kernel struct {
 	// bucket capacity is recycled by run-scoped arenas.
 	cal    *CalendarQueue
 	useCal bool
+	hint   int // pending-events estimate the calendar was sized for
 
 	handlers  []func(now Time, node, payload int32)
 	slots     []closureSlot
@@ -112,6 +113,7 @@ func (k *Kernel) Reset() {
 	k.now = 0
 	k.queue = k.queue[:0]
 	k.useCal = false // revert to the heap until the next delay hint
+	k.hint = 0
 	if k.cal != nil {
 		k.cal.clear()
 	}
@@ -358,8 +360,9 @@ func (k *Kernel) releaseSlot(idx int32) {
 // sized for that band; max <= 0 reverts to the 4-ary heap. Both values are
 // performance advice, not a contract: events scheduled beyond the band
 // spill into the calendar's overflow heap and still fire in exact
-// (at, seq) order, and a low pending estimate merely raises bucket
-// occupancy (the ring also grows itself under load). The hint only takes
+// (at, seq) order, and the pending estimate only sizes the ring up to its
+// fixed cache budget (a low estimate merely raises bucket occupancy until
+// the ring grows itself under load). The hint only takes
 // effect while the queue is empty (a non-empty queue leaves the discipline
 // unchanged), and Reset reverts to the heap — re-hint after each Reset, as
 // simnet's bounded latency models do automatically.
@@ -369,6 +372,7 @@ func (k *Kernel) SetBoundedDelayHint(max time.Duration, pending int) {
 	}
 	if max <= 0 {
 		k.useCal = false
+		k.hint = 0
 		return
 	}
 	if k.cal == nil {
@@ -377,7 +381,12 @@ func (k *Kernel) SetBoundedDelayHint(max time.Duration, pending int) {
 		k.cal.reconfigure(max, pending)
 	}
 	k.useCal = true
+	k.hint = pending
 }
+
+// PendingHint reports the pending-events estimate of the delay hint in
+// effect, or 0 while the kernel runs the heap.
+func (k *Kernel) PendingHint() int { return k.hint }
 
 // QueueKind reports which queue discipline is active: "calendar" or "heap".
 func (k *Kernel) QueueKind() string {

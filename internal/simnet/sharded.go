@@ -103,13 +103,12 @@ func (sn *ShardedNet) Prepare(shards, n int, cfg Config) {
 // the cross-shard route hook. It touches only shard-s state, so the
 // executor calls it from each shard's own worker goroutine (first-touch
 // locality of the per-shard bitsets and pools). The kernel must be
-// freshly Reset.
+// freshly Reset; its queue is hinted with the shard's own member count.
 func (sn *ShardedNet) ResetShard(s int, kernel *sim.Kernel, rng *xrand.RNG) {
 	if sn.nets[s] == nil {
-		sn.nets[s] = New(kernel, sn.n, rng, sn.cfgs[s])
-	} else {
-		sn.nets[s].Reset(kernel, sn.n, rng, sn.cfgs[s])
+		sn.nets[s] = &Network{}
 	}
+	sn.nets[s].reset(kernel, sn.n, min(sn.block, sn.n-s*sn.block), rng, sn.cfgs[s])
 	if sn.shards == 1 {
 		return // no cross-shard traffic: keep the hot path seam empty
 	}

@@ -70,6 +70,42 @@ func TestShardedNetCrossShardDelivery(t *testing.T) {
 	}
 }
 
+// TestShardedNetHintsShardMembers checks that each shard kernel's calendar
+// is hinted with the shard's own member count, not the group's: 10
+// members on 3 shards are blocks of 4, 4 and 2. A re-Prepare for another
+// shape re-hints the recycled networks, and the single-kernel Network
+// keeps hinting its whole group.
+func TestShardedNetHintsShardMembers(t *testing.T) {
+	cfg := Config{Latency: UniformLatency{Lo: time.Millisecond, Hi: 10 * time.Millisecond}}
+	sn := NewShardedNet()
+	kernels := []*sim.Kernel{sim.New(), sim.New(), sim.New()}
+	for _, tc := range []struct {
+		n, shards int
+		want      []int
+	}{
+		{10, 3, []int{4, 4, 2}},
+		{1000, 2, []int{500, 500}},
+		{7, 1, []int{7}},
+	} {
+		sn.Prepare(tc.shards, tc.n, cfg)
+		for s := 0; s < tc.shards; s++ {
+			kernels[s].Reset()
+			sn.ResetShard(s, kernels[s], xrand.New(uint64(s)))
+			if kernels[s].QueueKind() != "calendar" {
+				t.Fatalf("n=%d shards=%d: shard %d runs the %s", tc.n, tc.shards, s, kernels[s].QueueKind())
+			}
+			if got := kernels[s].PendingHint(); got != tc.want[s] {
+				t.Errorf("n=%d shards=%d: shard %d hinted %d pending, want %d", tc.n, tc.shards, s, got, tc.want[s])
+			}
+		}
+	}
+	k := sim.New()
+	New(k, 1000, xrand.New(1), cfg)
+	if got := k.PendingHint(); got != 1000 {
+		t.Errorf("single-kernel network hinted %d pending, want 1000", got)
+	}
+}
+
 func TestShardedNetCrossShardCrashDrop(t *testing.T) {
 	sn, kernels := newTestShardedNet(t, Config{Latency: ConstantLatency{D: time.Millisecond}})
 	sn.Shard(1).RegisterAll(func(sim.Time, Message) { t.Fatal("delivered to crashed node") })
