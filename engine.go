@@ -204,11 +204,10 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // shards that advance in lookahead windows derived from the latency
 // model's floor (see simnet.LatencyFloorer), exchanging cross-shard
 // messages at window barriers. n <= 0 auto-selects GOMAXPROCS at
-// option-apply time. The default (option absent) is the single-kernel
-// runtime, so existing results stay byte-identical; shards=1 runs the
-// sharded code path degenerately and is byte-identical to the single
-// kernel too. Executions whose latency model has no positive floor fall
-// back to one shard. Each replication still runs on one shard group —
+// option-apply time. The default (option absent) is one shard: one kernel
+// drained to quiescence, with no windows or barriers, on the same
+// execution body as every other shard count. Executions whose latency
+// model has no positive floor fall back to one shard. Each replication still runs on one shard group —
 // WithShards parallelizes within a run (one n=10⁷ execution across
 // cores), WithWorkers across runs; they compose, but oversubscribe the
 // machine if both are wide.

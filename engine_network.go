@@ -43,14 +43,11 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
 	}
 
-	// execute runs one replication on the selected runtime: the
-	// single-kernel executor by default, the conservative-PDES sharded
-	// kernel under WithShards (>1). Shards=1 keeps the single-kernel path
-	// — the two are byte-identical, and the oracle needs no shard arena.
-	// A non-uniform WithTopology overlay is generated per replication from
-	// a non-consuming split of the run's stream, so the uniform spec stays
-	// byte-identical to not setting the option and the overlay is the same
-	// for every shard count.
+	// execute runs one replication on WithShards shard kernels (0 means
+	// one kernel, the default). A non-uniform WithTopology overlay is
+	// generated per replication from a non-consuming split of the run's
+	// stream, so the uniform spec stays byte-identical to not setting the
+	// option and the overlay is the same for every shard count.
 	execute := func(r *xrand.RNG, arena *core.NetArena, probe *obs.Probe) (core.NetResult, error) {
 		p := s.Params
 		if ov, err := o.topology.Build(p.N, r.Split(topology.Split)); err != nil {
@@ -58,11 +55,9 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		} else if ov != nil {
 			p.View = ov
 		}
-		if o.shards > 1 {
-			return core.ExecuteOnNetworkSharded(p, s.Net, r, nil, arena.Sharded(o.shards), probe,
-				core.ShardOptions{Shards: o.shards, Progress: shardProgress(o)})
-		}
-		return core.ExecuteOnNetworkProbed(p, s.Net, r, nil, arena, probe)
+		shards := max(1, o.shards)
+		return core.ExecuteOnNetworkSharded(p, s.Net, r, nil, arena.Sharded(shards), probe,
+			core.ShardOptions{Shards: shards, Progress: shardProgress(o)})
 	}
 
 	if o.rng != nil {

@@ -207,11 +207,8 @@ func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any,
 		} else if ov != nil {
 			cfg.View = ov
 		}
-		if o.shards > 1 {
-			return stream.RunSharded(cfg, s.Net, r, nil, arena, probe,
-				core.ShardOptions{Shards: o.shards, Progress: shardProgress(o)})
-		}
-		return stream.RunProbed(cfg, s.Net, r, nil, arena, probe)
+		return stream.RunSharded(cfg, s.Net, r, nil, arena, probe,
+			core.ShardOptions{Shards: max(1, o.shards), Progress: shardProgress(o)})
 	}
 
 	if o.rng != nil {

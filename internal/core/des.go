@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"gossipkit/internal/bitset"
 	"gossipkit/internal/failure"
 	"gossipkit/internal/membership"
-	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
@@ -132,51 +130,39 @@ func (nr *NetRun) Restartable(id int) bool { return nr.mask.Alive(id) }
 // it forwards it again (re-gossip). Crashed nodes cannot publish.
 func (nr *NetRun) Publish(id int) { nr.publish(id) }
 
-// NetArena holds the reusable per-run state of network executions: the
-// kernel (event queue, calendar buckets), the network (packed up flags,
-// pooled message slots), the failure mask (packed alive flags plus its
-// sampling scratch), and the per-member receive bitset and target buffer.
-// One arena serves many runs — the scenario sweep workers recycle one arena
-// each — and after the first run at a given shape an execution performs
-// zero O(n)-sized allocations: every piece of run state is redrawn in
-// place. An arena is single-goroutine state; never share one across
-// workers.
+// NetArena holds the reusable per-run state of network executions. It
+// owns one ShardArena — kernels, sharded fabric, failure mask, and every
+// shard's receive bitset and target buffer — and a single-kernel run is
+// shard 0 of it: the paper's executor at any shard count and the
+// simulation front ends that Lease (the protocol baseline runtime) all
+// recycle the same kernel and network. One arena serves many runs — the
+// scenario sweep workers recycle one arena each — and after the first run
+// at a given shape an execution performs zero O(n)-sized allocations:
+// every piece of run state is redrawn in place. An arena is
+// single-goroutine state; never share one across workers.
 type NetArena struct {
-	kernel   *sim.Kernel
-	net      *simnet.Network
-	mask     *failure.Mask
-	received bitset.Bits
-	targets  []int
-	sharded  *ShardArena
-	msgBits  *MessageBits // per-message delivery matrix (streaming runs)
-	nackBits *MessageBits // pending-repair matrix (push-pull streaming runs)
+	sharded *ShardArena
 }
 
-// Sharded leases the arena's pooled sharded-execution state, sized for
-// the given shard count — the seam sweep workers recycle sharded runs
-// through without a second arena parameter. A nil receiver returns nil
+// Sharded leases the arena's pooled execution state, sized for the given
+// shard count — the seam sweep workers recycle runs through without a
+// second arena parameter. A nil receiver returns nil
 // (ExecuteOnNetworkSharded builds a throwaway arena).
 func (a *NetArena) Sharded(shards int) *ShardArena {
 	if a == nil {
 		return nil
 	}
-	if a.sharded == nil {
-		a.sharded = NewShardArena(shards)
-	} else {
-		a.sharded.ensure(shards)
-	}
+	a.sharded.ensure(shards)
 	return a.sharded
 }
 
 // NewNetArena returns an empty arena; buffers grow on first use.
-func NewNetArena() *NetArena {
-	return &NetArena{kernel: sim.New(), mask: &failure.Mask{}, targets: make([]int, 0, 16)}
-}
+func NewNetArena() *NetArena { return &NetArena{sharded: NewShardArena(1)} }
 
 // RunState is the leased per-run state a simulation front end builds an
 // execution from: a Reset kernel, a Reset network, the pooled failure mask
 // (fill it before use), and the cleared first-receipt bitset. The lease is
-// valid until the arena's next Lease (or ExecuteOnNetworkArena) call.
+// valid until the arena's next Lease or execution.
 type RunState struct {
 	Kernel   *sim.Kernel
 	Net      *simnet.Network
@@ -184,177 +170,43 @@ type RunState struct {
 	Received *bitset.Bits
 }
 
-// Lease resets the arena's pooled state for a fresh n-node run over netCfg
-// and hands it out. It is the seam non-core executors (the protocol
-// baseline runtime) recycle run state through; this package's own
-// ExecuteOnNetworkArena leases through the same path, so both kinds of run
-// share one arena without interference. Results are byte-identical whether
-// the arena is fresh or recycled.
+// Lease resets shard 0 of the arena for a fresh n-node single-kernel run
+// over netCfg and hands it out. It is the seam non-core executors (the
+// protocol baseline runtime) recycle run state through; this package's
+// own executor leases the same shard, so both kinds of run share one
+// arena without interference. Results are byte-identical whether the
+// arena is fresh or recycled.
 func (a *NetArena) Lease(n int, netCfg simnet.Config, netRNG *xrand.RNG) RunState {
-	a.kernel.Reset()
-	if a.net == nil {
-		a.net = simnet.New(a.kernel, n, netRNG, netCfg)
-	} else {
-		a.net.Reset(a.kernel, n, netRNG, netCfg)
-	}
-	a.received.Reset(n)
-	return RunState{Kernel: a.kernel, Net: a.net, Mask: a.mask, Received: &a.received}
+	run := a.sharded.LeaseSharded(1, n, netCfg)
+	k := run.Kernels[0]
+	k.Reset()
+	run.Net.ResetShard(0, k, netRNG)
+	st := &a.sharded.states[0]
+	st.received.Reset(n)
+	return RunState{Kernel: k, Net: run.Net.Shard(0), Mask: run.Mask, Received: &st.received}
 }
 
 // Targets leases the arena's pooled target-sampling buffer; pair with
 // SetTargets to return the (possibly grown) buffer when the run finishes.
-func (a *NetArena) Targets() []int { return a.targets }
+func (a *NetArena) Targets() []int { return a.sharded.states[0].targets }
 
 // SetTargets returns the sampling buffer leased with Targets.
-func (a *NetArena) SetTargets(t []int) { a.targets = t }
+func (a *NetArena) SetTargets(t []int) { a.sharded.states[0].targets = t }
 
-// ExecuteOnNetwork runs one execution of the general gossiping algorithm as
-// an event-driven protocol over a simulated network: each first receipt
-// triggers fanout selection and sends, each send incurs the network's
-// latency and loss. With zero latency and no loss the set of members
-// reached is distributed identically to ExecuteOnce (an integration test
-// asserts this); with loss or partitions, the network becomes an additional
-// failure source beyond the paper's model.
+// ExecuteOnNetwork runs one execution of the general gossiping algorithm
+// on one kernel with a throwaway arena (see ExecuteOnNetworkSharded).
+// With zero latency and no loss the set of members reached is distributed
+// identically to ExecuteOnce (an integration test asserts this); with
+// loss or partitions, the network becomes an additional failure source
+// beyond the paper's model.
 func ExecuteOnNetwork(p Params, netCfg simnet.Config, r *xrand.RNG) (NetResult, error) {
 	return ExecuteOnNetworkArena(p, netCfg, r, nil, nil)
 }
 
-// ExecuteOnNetworkInjected is ExecuteOnNetwork with a fault-injection hook:
-// after the network and handlers are set up — and before the source
-// publishes at t=0 — inject (if non-nil) is called with the run's NetRun so
-// it can schedule mid-execution actions (crashes, restarts, partitions,
-// loss episodes, extra publishers) on the kernel. The run is a pure
-// function of (p, netCfg, r, inject), so scenarios replay deterministically.
-func ExecuteOnNetworkInjected(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun)) (NetResult, error) {
-	return ExecuteOnNetworkArena(p, netCfg, r, inject, nil)
-}
-
-// ExecuteOnNetworkArena is ExecuteOnNetworkInjected with caller-supplied
-// buffer reuse: arena (which may be nil for a throwaway one) carries the
-// kernel, network, and per-member buffers across runs. Results are
-// byte-identical whether an arena is fresh or recycled.
+// ExecuteOnNetworkArena is ExecuteOnNetworkSharded on one shard of arena
+// (nil for a throwaway one), with a fault-injection hook (may be nil).
 func ExecuteOnNetworkArena(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena) (NetResult, error) {
-	return ExecuteOnNetworkProbed(p, netCfg, r, inject, arena, nil)
-}
-
-// ExecuteOnNetworkProbed is ExecuteOnNetworkArena under telemetry: probe
-// (which may be nil — the zero-overhead off state) observes the run's
-// virtual-time curves, histograms, and optionally its raw events. The
-// probe never consumes the run's RNG streams and schedules nothing on the
-// kernel, so the NetResult is bit-identical with the probe on or off; the
-// caller snapshots probe.Metrics() afterward.
-func ExecuteOnNetworkProbed(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena, probe *obs.Probe) (NetResult, error) {
-	if err := p.Validate(); err != nil {
-		return NetResult{}, err
-	}
-	if arena == nil {
-		arena = NewNetArena()
-	}
-	st := arena.Lease(p.N, netCfg, r.Split(0xfeed))
-	kernel, nw, mask, received := st.Kernel, st.Net, st.Mask, st.Received
-	kernel.SetBudget(uint64(p.N) * 10000)
-	p.drawMaskInto(mask, r)
-	view := p.view()
-
-	res := NetResult{Result: Result{AliveCount: mask.AliveCount()}}
-	targets := arena.targets
-	defer func() { arena.targets = targets }()
-	probe.Attach(nw, p.N, &res.Delivered)
-
-	forward := func(self int) {
-		f := p.Fanout.Sample(r)
-		targets = view.SampleTargets(targets, self, f, r)
-		res.MessagesSent += len(targets)
-		probe.ObserveFanout(len(targets))
-		for _, v := range targets {
-			if !mask.Alive(v) {
-				res.WastedOnFailed++
-			}
-			nw.Send(simnet.NodeID(self), simnet.NodeID(v), nil)
-		}
-	}
-
-	// from is the forwarding member, or -1 for an out-of-band receipt (an
-	// additional publisher injected by a campaign).
-	receive := func(id, from int, now sim.Time) {
-		received.Set(id)
-		res.Delivered++
-		res.DeliveryLatency.Add(now.Seconds())
-		if d := now.Duration(); d > res.SpreadTime {
-			res.SpreadTime = d
-		}
-		probe.ObserveFirstReceipt(id, from, now)
-		forward(id)
-	}
-
-	// One shared handler for every member (index dispatch on msg.To)
-	// instead of n per-member closures; fail-stop members are crashed at
-	// the network layer, so the handler only ever sees alive-at-delivery
-	// members. (Crashing also counts the paper's "wasted" sends as crash
-	// drops.)
-	nw.RegisterAll(func(now sim.Time, msg simnet.Message) {
-		id := int(msg.To)
-		if received.Get(id) {
-			res.Duplicates++
-			return
-		}
-		receive(id, int(msg.From), now)
-	})
-	for id := 0; id < p.N; id++ {
-		if !mask.Alive(id) {
-			nw.Crash(simnet.NodeID(id))
-		}
-	}
-
-	if inject != nil {
-		inject(&NetRun{
-			Kernel:      kernel,
-			Net:         nw,
-			View:        view,
-			mask:        mask,
-			hasReceived: received.Get,
-			delivered:   func() int { return res.Delivered },
-			publish: func(id int) {
-				if id < 0 || id >= p.N || !nw.Up(simnet.NodeID(id)) || !mask.Alive(id) {
-					return
-				}
-				if received.Get(id) {
-					forward(id) // re-gossip
-					return
-				}
-				receive(id, -1, kernel.Now()) // additional publisher
-			},
-		})
-	}
-
-	// The source initiates at t=0 (unless an injection hook already
-	// published from it directly).
-	if !received.Get(p.Source) {
-		received.Set(p.Source)
-		res.Delivered++
-		probe.ObserveSeed(p.Source)
-		forward(p.Source)
-	}
-	if err := kernel.RunAll(); err != nil {
-		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", err)
-	}
-	probe.Finish(kernel.Now())
-	if res.AliveCount > 0 {
-		res.Reliability = float64(res.Delivered) / float64(res.AliveCount)
-	}
-	for id := 0; id < p.N; id++ {
-		if nw.Up(simnet.NodeID(id)) {
-			res.UpAtEnd++
-			if received.Get(id) {
-				res.DeliveredUp++
-			}
-		}
-	}
-	if res.UpAtEnd > 0 {
-		res.SurvivorReliability = float64(res.DeliveredUp) / float64(res.UpAtEnd)
-	}
-	res.Net = nw.Stats()
-	return res, nil
+	return ExecuteOnNetworkSharded(p, netCfg, r, inject, arena.Sharded(1), nil, ShardOptions{Shards: 1})
 }
 
 // TimingEquivalent reruns p under both crash timings with identical

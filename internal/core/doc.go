@@ -17,9 +17,12 @@
 // (failure.Timing); the source never fails.
 //
 // Two executors are provided. ExecuteOnce runs the spread as an untimed BFS
-// (the paper's own setting); ExecuteOnNetwork runs it as a discrete-event
-// protocol over internal/simnet, where latency, loss, partitions, and
-// mid-run fault injection apply. Every execution is a pure function of its
+// (the paper's own setting); ExecuteOnNetworkSharded runs it as a
+// discrete-event protocol over internal/simnet, on one kernel or across
+// conservative-PDES shard kernels, where latency, loss, partitions, and
+// mid-run fault injection apply (ExecuteOnNetwork and
+// ExecuteOnNetworkArena are its one-shard forms). Every execution is a
+// pure function of its
 // Params, seed, and injection hook — results are byte-identical across
 // machines, worker counts, and arena reuse.
 //

@@ -114,55 +114,35 @@ func (b *MessageBits) CountRow(m int) int {
 	return c
 }
 
-// MessageBits leases the arena's pooled per-message delivery matrix, sized
-// to msgs rows of width bits and cleared. Like every lease it is valid
-// until the next call; the streaming executor redraws it per run with zero
-// warm-state allocations.
-func (a *NetArena) MessageBits(msgs, width int) *MessageBits {
-	if a.msgBits == nil {
-		a.msgBits = &MessageBits{}
-	}
-	a.msgBits.Reset(msgs, width)
-	return a.msgBits
-}
-
-// NackBits leases the arena's second pooled per-message matrix — the
-// pending-repair bits of push-pull streaming runs, one bit per (message,
-// member) NACK in flight. A separate lease from MessageBits because one
-// run holds both matrices at once.
-func (a *NetArena) NackBits(msgs, width int) *MessageBits {
-	if a.nackBits == nil {
-		a.nackBits = &MessageBits{}
-	}
-	a.nackBits.Reset(msgs, width)
-	return a.nackBits
-}
-
-// ShardRunState is the sharded counterpart of RunState: the pooled shard
-// and control kernels, the sharded fabric, and the failure mask of one
-// sharded execution, leased to simulation front ends other than this
-// package's own executor (the streaming engine runs its sharded path
-// through it). The caller owns per-shard reset — kernels are handed out
-// as-is so each shard's worker goroutine can Reset its own (first-touch
-// locality), exactly as ExecuteOnNetworkSharded does internally.
+// ShardRunState is the leased run state of one execution: the pooled
+// shard and control kernels, the sharded fabric prepared for the run, the
+// failure mask, and the window group over the kernels. With one shard the
+// control kernel is the shard kernel and the group's Run is a plain
+// drain. Simulation front ends other than this package's own executor
+// (the streaming engine) run through it. The caller owns per-shard reset
+// — kernels are handed out as-is so each shard's worker goroutine can
+// Reset its own and then ResetShard its network (first-touch locality),
+// exactly as ExecuteOnNetworkSharded does.
 type ShardRunState struct {
 	Kernels []*sim.Kernel
 	Control *sim.Kernel
 	Net     *simnet.ShardedNet
 	Mask    *failure.Mask
+	Group   *sim.ShardGroup
 }
 
-// LeaseSharded sizes the arena for `shards` shard kernels and hands out
-// its pooled sharded run state. With one shard the control kernel is the
-// shard kernel, mirroring the byte-identical shards=1 contract of the
-// core executor.
-func (a *ShardArena) LeaseSharded(shards int) ShardRunState {
+// LeaseSharded sizes the arena for `shards` shard kernels, prepares the
+// fabric for a run of n members over netCfg (see ShardedNet.Prepare), and
+// hands out the pooled run state, windowed by the latency model's floor.
+func (a *ShardArena) LeaseSharded(shards, n int, netCfg simnet.Config) ShardRunState {
 	a.ensure(shards)
 	ctl := a.ctl
 	if shards == 1 {
 		ctl = a.kernels[0]
 	}
-	return ShardRunState{Kernels: a.kernels, Control: ctl, Net: a.net, Mask: a.mask}
+	a.net.Prepare(shards, n, netCfg)
+	a.group.Reset(a.kernels, ctl, latencyFloor(netCfg.Latency))
+	return ShardRunState{Kernels: a.kernels, Control: ctl, Net: a.net, Mask: a.mask, Group: &a.group}
 }
 
 // ShardMessageBits leases shard s's pooled per-message delivery matrix for
@@ -177,8 +157,10 @@ func (a *ShardArena) ShardMessageBits(s, msgs, width int) *MessageBits {
 	return a.msgBits[s]
 }
 
-// ShardNackBits leases shard s's pooled pending-repair matrix (see
-// NackBits), from the shard's own goroutine like ShardMessageBits.
+// ShardNackBits leases shard s's pooled pending-repair matrix — the
+// pending-repair bits of push-pull streaming runs, one bit per (message,
+// member) NACK in flight — from the shard's own goroutine like
+// ShardMessageBits. A separate lease because one run holds both matrices.
 func (a *ShardArena) ShardNackBits(s, msgs, width int) *MessageBits {
 	if a.nackBits[s] == nil {
 		a.nackBits[s] = &MessageBits{}

@@ -188,7 +188,7 @@ func benchmarkMillion(b *testing.B, probe *obs.Probe) {
 	arena := NewNetArena()
 	r := xrand.New(1)
 	run := func() NetResult {
-		res, err := ExecuteOnNetworkProbed(p, cfg, r, nil, arena, probe)
+		res, err := ExecuteOnNetworkSharded(p, cfg, r, nil, arena.Sharded(1), probe, ShardOptions{Shards: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

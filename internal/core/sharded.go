@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"gossipkit/internal/bitset"
+	"gossipkit/internal/dist"
 	"gossipkit/internal/failure"
+	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
@@ -57,11 +59,6 @@ func EffectiveShards(requested, n int, cfg simnet.Config) int {
 	return s
 }
 
-// LatencyFloor returns the model's guaranteed minimum delay, or 0 when it
-// has none — the lookahead a conservative-PDES front end windows a sharded
-// run with. Exported for sibling DES front ends (the streaming engine).
-func LatencyFloor(m simnet.LatencyModel) time.Duration { return latencyFloor(m) }
-
 // latencyFloor returns the model's guaranteed minimum delay, or 0 when it
 // has none (nil models mean zero latency).
 func latencyFloor(m simnet.LatencyModel) time.Duration {
@@ -79,13 +76,20 @@ func latencyFloor(m simnet.LatencyModel) time.Duration {
 // shardState is one shard's private slice of the run state. Everything
 // here is written by the shard's worker goroutine during windows (and by
 // the coordinator only while workers are parked); received is indexed by
-// (id − base) so no two shards ever share a bitset word. The trailing pad
-// keeps neighboring shards' hot counters off each other's cache lines.
+// (id − base) so no two shards ever share a bitset word. The run's
+// read-only inputs (fanout, view, mask) and the shard's own network are
+// cached here so the send path never indexes a shard table. The trailing
+// pad keeps neighboring shards' hot counters off each other's cache lines.
 type shardState struct {
 	received  bitset.Bits
 	targets   []int
 	rng       *xrand.RNG
 	probe     *obs.Probe
+	net       *simnet.Network
+	fanout    dist.Distribution
+	view      membership.View
+	mask      *failure.Mask
+	base      int
 	delivered int
 	msgs      int
 	wasted    int
@@ -97,17 +101,61 @@ type shardState struct {
 	_         [64]byte
 }
 
-// ShardArena pools the per-run state of sharded executions — the shard
-// and control kernels, the sharded fabric, the failure mask, and every
-// shard's bitsets and buffers — the sharded counterpart of NetArena. One
-// arena serves many runs; it is single-goroutine state between runs (the
-// execution itself fans out to the shard workers).
+// forward gossips m from self: one fanout draw, one target sample, one
+// send per target.
+func (st *shardState) forward(self int) {
+	f := st.fanout.Sample(st.rng)
+	st.targets = st.view.SampleTargets(st.targets, self, f, st.rng)
+	st.msgs += len(st.targets)
+	st.probe.ObserveFanout(len(st.targets))
+	for _, v := range st.targets {
+		if !st.mask.Alive(v) {
+			st.wasted++
+		}
+		st.net.Send(simnet.NodeID(self), simnet.NodeID(v), nil)
+	}
+}
+
+// receive records id's first receipt at now and forwards. from is the
+// forwarding member, or -1 for an out-of-band receipt (an additional
+// publisher injected by a campaign).
+func (st *shardState) receive(id, from int, now sim.Time) {
+	st.received.Set(id - st.base)
+	st.delivered++
+	st.lat.Add(now.Seconds())
+	if now > st.spread {
+		st.spread = now
+	}
+	st.probe.ObserveFirstReceipt(id, from, now)
+	st.forward(id)
+}
+
+// onMessage is the shard's one shared handler (index dispatch on msg.To).
+// Fail-stop members are crashed at the network layer, so it only ever
+// sees alive-at-delivery members. (Crashing also counts the paper's
+// "wasted" sends as crash drops.)
+func (st *shardState) onMessage(now sim.Time, msg simnet.Message) {
+	id := int(msg.To)
+	if st.received.Get(id - st.base) {
+		st.dups++
+		return
+	}
+	st.receive(id, int(msg.From), now)
+}
+
+// ShardArena pools the per-run state of network executions — the shard
+// and control kernels, the sharded fabric, the failure mask, the window
+// group, and every shard's bitsets and buffers. One arena serves many
+// runs, at any shard count, and after the first run at a given shape an
+// execution performs zero O(n)-sized allocations. It is single-goroutine
+// state between runs (the execution itself fans out to the shard
+// workers); never share one across workers.
 type ShardArena struct {
-	shards   int
 	kernels  []*sim.Kernel
-	ctl      *sim.Kernel
+	ctl      *sim.Kernel // created by the first multi-shard lease
 	net      *simnet.ShardedNet
 	mask     *failure.Mask
+	group    sim.ShardGroup
 	states   []shardState
 	msgBits  []*MessageBits // per-shard delivery matrices (streaming runs)
 	nackBits []*MessageBits // per-shard pending-repair matrices (push-pull)
@@ -121,47 +169,48 @@ func NewShardArena(shards int) *ShardArena {
 	return a
 }
 
-// ensure sizes the arena for `shards` shard kernels, retaining pooled
-// state when the count is unchanged.
+// ensure sizes the arena for `shards` shard kernels. Pooled per-shard
+// state beyond the count is kept for later leases at more shards.
 func (a *ShardArena) ensure(shards int) {
-	if a.shards == shards && a.ctl != nil {
-		return
+	a.kernels = resize(a.kernels, shards)
+	for s, k := range a.kernels {
+		if k == nil {
+			a.kernels[s] = sim.New()
+		}
 	}
-	a.shards = shards
-	for len(a.kernels) < shards {
-		a.kernels = append(a.kernels, sim.New())
-	}
-	a.kernels = a.kernels[:shards]
-	if a.ctl == nil {
+	if shards > 1 && a.ctl == nil {
 		a.ctl = sim.New()
 	}
-	if cap(a.states) < shards {
-		a.states = make([]shardState, shards)
-	}
-	a.states = a.states[:shards]
-	for len(a.msgBits) < shards {
-		a.msgBits = append(a.msgBits, nil)
-	}
-	a.msgBits = a.msgBits[:shards]
-	for len(a.nackBits) < shards {
-		a.nackBits = append(a.nackBits, nil)
-	}
-	a.nackBits = a.nackBits[:shards]
+	a.states = resize(a.states, shards)
+	a.msgBits = resize(a.msgBits, shards)
+	a.nackBits = resize(a.nackBits, shards)
 }
 
-// ExecuteOnNetworkSharded runs one execution of the paper's algorithm on
-// the conservative-PDES sharded runtime: members are partitioned into
-// contiguous blocks across per-core shard kernels, shards advance in
-// lookahead windows derived from the latency model's floor, and
-// cross-shard messages cross at window barriers (see sim.ShardGroup and
-// simnet.ShardedNet). The single-kernel ExecuteOnNetworkProbed is the
-// equivalence oracle.
+// resize returns s with length n, keeping every element already in its
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// ExecuteOnNetworkSharded runs one execution of the paper's algorithm as
+// an event-driven protocol over a simulated network: each first receipt
+// triggers fanout selection and sends, each send incurs the network's
+// latency and loss. Members are partitioned into contiguous blocks across
+// shard kernels; with more than one shard they advance in lookahead
+// windows derived from the latency model's floor on the conservative-PDES
+// runtime, and cross-shard messages cross at window barriers (see
+// sim.ShardGroup and simnet.ShardedNet). One shard is the plain
+// single-kernel execution every other entry point runs.
 //
 // Determinism contract:
-//   - shards=1: byte-identical to ExecuteOnNetworkProbed for the same
-//     (p, netCfg, r, inject) — same RNG layout (the run stream is r, the
-//     network stream r.Split(0xfeed)), same event interleaving (the
-//     control kernel is the shard kernel and the run is a plain drain).
+//   - shards=1: the run stream is r, the network stream r.Split(0xfeed),
+//     and the control kernel is the shard kernel, so control events
+//     interleave with deliveries on one queue and the run is a plain
+//     drain. The former single-kernel executor, kept in oracle_test.go,
+//     pins this byte for byte.
 //   - fixed shards>1: byte-identical across repeated runs and across
 //     hosts — shard s draws from r.Split(shardSplit+s), windows are cut
 //     at deterministic virtual times, and barriers flush the per-pair
@@ -173,11 +222,17 @@ func (a *ShardArena) ensure(shards int) {
 //     streams, so results agree in distribution (the equivalence tests
 //     pin mean reliability across shard counts).
 //
-// The probe, when non-nil, fans out to per-shard child probes and
-// adopts their merged telemetry (hop histograms are unavailable for
-// shards>1: a cross-shard sender's hop count is unknown to the receiving
-// shard). opts.Shards below 1 auto-selects GOMAXPROCS; executions whose
-// latency model has no positive floor fall back to one shard.
+// inject (if non-nil) is called with the run's NetRun after setup and
+// before the source publishes at t=0, so campaigns can schedule
+// mid-execution actions. sa (nil for a throwaway arena) recycles run
+// state; results are byte-identical whether it is fresh or recycled.
+// The probe, when non-nil, observes the run without consuming its RNG
+// streams; with more than one shard it fans out to per-shard child
+// probes and adopts their merged telemetry (hop histograms are
+// unavailable then: a cross-shard sender's hop count is unknown to the
+// receiving shard). opts.Shards below 1 auto-selects GOMAXPROCS;
+// executions whose latency model has no positive floor fall back to one
+// shard.
 func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), sa *ShardArena, probe *obs.Probe, opts ShardOptions) (NetResult, error) {
 	if err := p.Validate(); err != nil {
 		return NetResult{}, err
@@ -185,30 +240,24 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	shards := EffectiveShards(opts.Shards, p.N, netCfg)
 	if sa == nil {
 		sa = NewShardArena(shards)
-	} else {
-		sa.ensure(shards)
 	}
-	kernels, ctl, sn, mask := sa.kernels, sa.ctl, sa.net, sa.mask
-	if shards == 1 {
-		// One shard: the control kernel is the shard kernel, so control
-		// events interleave with deliveries exactly as on the single
-		// kernel — the anchor of the byte-identical shards=1 contract.
-		ctl = kernels[0]
-	}
-	group := sim.NewShardGroup(kernels, ctl, latencyFloor(netCfg.Latency))
+	run := sa.LeaseSharded(shards, p.N, netCfg)
+	kernels, ctl, sn, mask, group := run.Kernels, run.Control, run.Net, run.Mask, run.Group
 	block := (p.N + shards - 1) / shards
+	view := p.view()
 
 	// RNG layout. Splits never advance r, so the mask draw below is
 	// independent of the shard count.
 	states := sa.states
-	if shards == 1 {
-		states[0].rng = r
-	} else {
-		for s := range states {
-			states[s].rng = r.Split(shardSplit + uint64(s))
+	for s := range states {
+		st := &states[s]
+		st.rng = r
+		if shards > 1 {
+			st.rng = r.Split(shardSplit + uint64(s))
 		}
+		st.fanout, st.view, st.mask, st.base = p.Fanout, view, mask, s*block
+		st.probe = nil
 	}
-	sn.Prepare(shards, p.N, netCfg)
 	group.Each(func(s int) {
 		// Per-shard state is reset on the shard's own goroutine: the
 		// kernel queue, the network's bitsets and pools, and the local
@@ -218,8 +267,8 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		kernels[s].Reset()
 		kernels[s].SetBudget(uint64(p.N) * 10000)
 		sn.ResetShard(s, kernels[s], st.rng.Split(0xfeed))
-		lo, hi := s*block, min((s+1)*block, p.N)
-		st.received.Reset(hi - lo)
+		st.net = sn.Shard(s)
+		st.received.Reset(min(block, p.N-st.base))
 		st.delivered, st.msgs, st.wasted, st.dups = 0, 0, 0, 0
 		st.upAtEnd, st.delivUp = 0, 0
 		st.spread = 0
@@ -229,7 +278,6 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		ctl.Reset()
 	}
 	p.drawMaskInto(mask, r)
-	view := p.view()
 
 	if probe != nil {
 		if shards == 1 {
@@ -241,56 +289,15 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 				child.Attach(sn.Shard(s), p.N, &states[s].delivered)
 			}
 		}
-	} else {
-		for s := range states {
-			states[s].probe = nil
-		}
 	}
 
-	// forward and receive mirror the single-kernel executor line for
-	// line; both run on shard s's goroutine (or with every worker parked).
-	var forward func(s, self int)
-	forward = func(s, self int) {
-		st := &states[s]
-		f := p.Fanout.Sample(st.rng)
-		st.targets = view.SampleTargets(st.targets, self, f, st.rng)
-		st.msgs += len(st.targets)
-		st.probe.ObserveFanout(len(st.targets))
-		for _, v := range st.targets {
-			if !mask.Alive(v) {
-				st.wasted++
-			}
-			sn.Shard(s).Send(simnet.NodeID(self), simnet.NodeID(v), nil)
-		}
-	}
-	receive := func(s, id, from int, now sim.Time) {
-		st := &states[s]
-		st.received.Set(id - s*block)
-		st.delivered++
-		st.lat.Add(now.Seconds())
-		if now > st.spread {
-			st.spread = now
-		}
-		st.probe.ObserveFirstReceipt(id, from, now)
-		forward(s, id)
-	}
-	for s := 0; s < shards; s++ {
-		s := s
-		st := &states[s]
-		base := s * block
-		sn.Shard(s).RegisterAll(func(now sim.Time, msg simnet.Message) {
-			id := int(msg.To)
-			if st.received.Get(id - base) {
-				st.dups++
-				return
-			}
-			receive(s, id, int(msg.From), now)
-		})
+	for s := range states {
+		states[s].net.RegisterAll(states[s].onMessage)
 	}
 	group.Each(func(s int) {
 		for id := s * block; id < min((s+1)*block, p.N); id++ {
 			if !mask.Alive(id) {
-				sn.Shard(s).Crash(simnet.NodeID(id))
+				states[s].net.Crash(simnet.NodeID(id))
 			}
 		}
 	})
@@ -325,13 +332,13 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 				if id < 0 || id >= p.N || !sn.Up(simnet.NodeID(id)) || !mask.Alive(id) {
 					return
 				}
-				s := id / block
+				st := &states[id/block]
 				act := func(now sim.Time) {
-					if states[s].received.Get(id - s*block) {
-						forward(s, id) // re-gossip
+					if st.received.Get(id - st.base) {
+						st.forward(id) // re-gossip
 						return
 					}
-					receive(s, id, -1, now)
+					st.receive(id, -1, now) // additional publisher
 				}
 				if shards == 1 {
 					act(ctl.Now())
@@ -342,34 +349,28 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 				// (strictly ahead of the shard's clock, which stopped
 				// before the barrier).
 				now := ctl.Now()
-				kernels[s].At(now, func() { act(now) })
+				kernels[id/block].At(now, func() { act(now) })
 			},
 		})
 	}
 
 	// The source initiates at t=0 (workers not yet running, so seeding
-	// shard-owned state from here is safe), mirroring the single-kernel
-	// bootstrap: no latency sample for the source.
-	if src := p.Source; !states[src/block].received.Get(src - (src/block)*block) {
-		s := src / block
-		states[s].received.Set(src - s*block)
-		states[s].delivered++
-		states[s].probe.ObserveSeed(src)
-		forward(s, src)
+	// shard-owned state from here is safe; unless an injection hook
+	// already published from it directly): no latency sample for the
+	// source.
+	if st := &states[p.Source/block]; !st.received.Get(p.Source - st.base) {
+		st.received.Set(p.Source - st.base)
+		st.delivered++
+		st.probe.ObserveSeed(p.Source)
+		st.forward(p.Source)
 	}
 
-	var runErr error
-	if shards == 1 {
-		runErr = ctl.RunAll()
-	} else {
-		var onBarrier func(now sim.Time, fired uint64)
-		if opts.Progress != nil {
-			onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
-		}
-		runErr = group.Run(sn.Flush, sn.Buffered, onBarrier)
+	var onBarrier func(now sim.Time, fired uint64)
+	if opts.Progress != nil {
+		onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
 	}
-	if runErr != nil {
-		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", runErr)
+	if err := group.Run(sn.Flush, sn.Buffered, onBarrier); err != nil {
+		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", err)
 	}
 	if probe != nil {
 		if shards == 1 {
@@ -384,11 +385,10 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 
 	group.Each(func(s int) {
 		st := &states[s]
-		nw := sn.Shard(s)
-		for id := s * block; id < min((s+1)*block, p.N); id++ {
-			if nw.Up(simnet.NodeID(id)) {
+		for id := st.base; id < min(st.base+block, p.N); id++ {
+			if st.net.Up(simnet.NodeID(id)) {
 				st.upAtEnd++
-				if st.received.Get(id - s*block) {
+				if st.received.Get(id - st.base) {
 					st.delivUp++
 				}
 			}

@@ -46,7 +46,7 @@ func shardedCampaign(run *NetRun) {
 }
 
 // TestShardedOneShardMatchesOracle pins the tentpole's shards=1 contract:
-// byte-identical results AND telemetry against ExecuteOnNetworkProbed for
+// byte-identical results AND telemetry against the single-kernel oracle for
 // the same inputs — reliability, message counts, latency moments, probe
 // curves, histograms, and the event trace.
 func TestShardedOneShardMatchesOracle(t *testing.T) {
@@ -63,7 +63,7 @@ func TestShardedOneShardMatchesOracle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			oracleProbe := obs.New(opts)
-			want, err := ExecuteOnNetworkProbed(p, cfg, xrand.New(42), tc.inject, nil, oracleProbe)
+			want, err := oracleExecuteOnNetwork(p, cfg, xrand.New(42), tc.inject, nil, oracleProbe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestShardedArenaReuseDeterministic(t *testing.T) {
 func TestShardedMaskInvariantAcrossShardCounts(t *testing.T) {
 	p := shardedTestParams(300)
 	cfg := shardedTestConfig()
-	base, err := ExecuteOnNetworkProbed(p, cfg, xrand.New(3), nil, nil, nil)
+	base, err := oracleExecuteOnNetwork(p, cfg, xrand.New(3), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // Executor runs one execution of some dissemination protocol under a
 // campaign's injection hook — the seam that lets every bundled campaign
 // target any protocol. The default (nil RunConfig.Executor) runs the
-// paper's own algorithm via core.ExecuteOnNetworkArena; the facade builds
+// paper's own algorithm via core.ExecuteOnNetworkSharded; the facade builds
 // executors for the six related-work baselines on top of the protocol DES
 // runtime. Executors must be stateless values: the sweep and comparison
 // grids share one executor across workers.
@@ -62,13 +62,13 @@ type RunConfig struct {
 	// Executor selects the protocol under the campaign; nil runs the
 	// paper's algorithm (Params). The comparison grid sets it per row.
 	Executor Executor
-	// Shards selects the execution runtime for the default (paper)
-	// executor: values above 1 run the conservative-PDES sharded kernel
-	// (core.ExecuteOnNetworkSharded) with that many shard kernels, 0 and 1
-	// run the single-kernel oracle — so existing configs and sweep JSON
-	// goldens are byte-identical by default. The sharded runtime falls
-	// back to one shard (still the sharded code path) when the latency
-	// model has no positive floor. Protocol executors ignore it.
+	// Shards is the shard-kernel count of the default (paper) executor
+	// (core.ExecuteOnNetworkSharded): values above 1 run the
+	// conservative-PDES windows across that many shard kernels, 0 and 1
+	// run one kernel — so existing configs and sweep JSON goldens are
+	// byte-identical by default. Executions whose latency model has no
+	// positive floor fall back to one shard. Protocol executors ignore
+	// it.
 	Shards int
 	// RoundInterval paces the round ticks of round-driven protocol
 	// executors (the paper's algorithm is purely event-driven and ignores
@@ -175,11 +175,9 @@ func ExecutePaper(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena 
 	if cfg.PartialViewCopies > 0 && p.View == nil {
 		p.View = membership.NewPartialViews(p.N, cfg.PartialViewCopies, r.Split(0x71e75))
 	}
-	if cfg.Shards > 1 {
-		return core.ExecuteOnNetworkSharded(p, cfg.Net, r, inject, arena.Sharded(cfg.Shards), cfg.Probe,
-			core.ShardOptions{Shards: cfg.Shards})
-	}
-	return core.ExecuteOnNetworkProbed(p, cfg.Net, r, inject, arena, cfg.Probe)
+	shards := max(1, cfg.Shards)
+	return core.ExecuteOnNetworkSharded(p, cfg.Net, r, inject, arena.Sharded(shards), cfg.Probe,
+		core.ShardOptions{Shards: shards})
 }
 
 // RunReport is the outcome of one scenario execution.

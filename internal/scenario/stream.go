@@ -63,7 +63,8 @@ func (e streamExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.N
 			inject(nr)
 		}
 	}
-	res, err := stream.RunProbed(sc, cfg.Net, r, hook, stream.NewArenaOn(arena), nil)
+	res, err := stream.RunSharded(sc, cfg.Net, r, hook, stream.NewArenaOn(arena), nil,
+		core.ShardOptions{Shards: 1})
 	if err != nil {
 		return core.NetResult{}, err
 	}

@@ -28,12 +28,13 @@ type ShardGroup struct {
 	lookahead Time
 }
 
-// NewShardGroup builds a group over kernels with the given lookahead
-// (the minimum cross-shard message delay; must be positive unless the
-// group degenerates to a single kernel that is its own control kernel).
-// The control kernel carries coordinator-side events (scenario actions);
-// it must not be one of the shard kernels unless len(kernels) == 1.
-func NewShardGroup(kernels []*Kernel, control *Kernel, lookahead time.Duration) *ShardGroup {
+// Reset binds the group to kernels with the given lookahead (the minimum
+// cross-shard message delay; must be positive unless the group
+// degenerates to a single kernel that is its own control kernel). The
+// control kernel carries coordinator-side events (scenario actions); it
+// must not be one of the shard kernels unless len(kernels) == 1. A
+// pooled group is Reset once per run.
+func (g *ShardGroup) Reset(kernels []*Kernel, control *Kernel, lookahead time.Duration) {
 	if len(kernels) == 0 {
 		panic("sim: shard group needs at least one kernel")
 	}
@@ -51,7 +52,7 @@ func NewShardGroup(kernels []*Kernel, control *Kernel, lookahead time.Duration) 
 			}
 		}
 	}
-	return &ShardGroup{kernels: kernels, control: control, lookahead: Time(lookahead)}
+	*g = ShardGroup{kernels: kernels, control: control, lookahead: Time(lookahead)}
 }
 
 // Each runs f(shard) for every shard concurrently — one goroutine per

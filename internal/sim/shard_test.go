@@ -90,7 +90,7 @@ func runShardedWorkload(t *testing.T, shards int) [][]firing {
 		kernels[e.shard].Schedule(e.at, handlers[e.shard], int32(e.id), 0)
 	}
 
-	g := NewShardGroup(kernels, control, shardTestLookahead)
+	g := newShardGroup(kernels, control, shardTestLookahead)
 	flush := func(wend Time) {
 		for dst := 0; dst < shards; dst++ {
 			for src := 0; src < shards; src++ {
@@ -211,7 +211,7 @@ func TestShardGroupControlBarrier(t *testing.T) {
 		}
 	})
 
-	g := NewShardGroup(kernels, control, 5*time.Millisecond)
+	g := newShardGroup(kernels, control, 5*time.Millisecond)
 	if err := g.Run(nil, nil, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestShardGroupBudget(t *testing.T) {
 		kernels[0].Schedule(Time(i), h, 0, 0)
 	}
 	kernels[0].SetBudget(3)
-	g := NewShardGroup(kernels, control, time.Millisecond)
+	g := newShardGroup(kernels, control, time.Millisecond)
 	if err := g.Run(nil, nil, nil); err != ErrBudget {
 		t.Fatalf("got %v, want ErrBudget", err)
 	}
@@ -251,7 +251,7 @@ func TestShardGroupOnBarrier(t *testing.T) {
 	var barriers int
 	var lastNow Time
 	var lastFired uint64
-	g := NewShardGroup(kernels, control, 7*time.Millisecond)
+	g := newShardGroup(kernels, control, 7*time.Millisecond)
 	err := g.Run(nil, nil, func(now Time, fired uint64) {
 		barriers++
 		if now < lastNow || fired < lastFired {
@@ -273,7 +273,7 @@ func TestShardGroupSingleDegenerate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		k.Schedule(Time(i), h, 0, 0)
 	}
-	g := NewShardGroup([]*Kernel{k}, k, 0)
+	g := newShardGroup([]*Kernel{k}, k, 0)
 	if err := g.Run(nil, nil, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -284,7 +284,7 @@ func TestShardGroupSingleDegenerate(t *testing.T) {
 
 func TestShardGroupEach(t *testing.T) {
 	kernels := []*Kernel{New(), New(), New(), New()}
-	g := NewShardGroup(kernels, New(), time.Millisecond)
+	g := newShardGroup(kernels, New(), time.Millisecond)
 	visited := make([]bool, len(kernels))
 	g.Each(func(s int) { visited[s] = true })
 	for s, v := range visited {
@@ -292,4 +292,10 @@ func TestShardGroupEach(t *testing.T) {
 			t.Fatalf("shard %d not visited", s)
 		}
 	}
+}
+
+func newShardGroup(kernels []*Kernel, control *Kernel, lookahead time.Duration) *ShardGroup {
+	g := &ShardGroup{}
+	g.Reset(kernels, control, lookahead)
+	return g
 }

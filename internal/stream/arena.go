@@ -34,7 +34,7 @@ type runShared struct {
 }
 
 // Arena pools the reusable state of streaming runs: the underlying
-// core.NetArena (kernels, networks, failure mask, delivery matrices), the
+// core.NetArena (kernels, fabric, failure mask, delivery matrices), the
 // schedule arrays, the per-shard publish lists, and the workers with
 // their buffers and tallies. One arena serves many runs — after the first
 // run at a given shape an execution performs zero O(n)- or O(M)-sized
@@ -43,8 +43,9 @@ type runShared struct {
 type Arena struct {
 	net     *core.NetArena
 	sh      runShared
-	pubBy   [][]int32 // per-shard publish lists (index 0 doubles as the single-kernel list)
+	pubBy   [][]int32 // per-shard publish lists
 	workers []*worker
+	rngs    []*xrand.RNG // per-shard worker streams
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -109,9 +110,8 @@ func (a *Arena) schedule(cfg Config, interval time.Duration, r *xrand.RNG) *runS
 }
 
 // publishLists partitions the schedule into per-shard publish lists by
-// owning block (shard s owns sources in [s·block, (s+1)·block)); with one
-// shard the single list is the whole schedule in time order. Pooled;
-// valid until the next call.
+// owning block (shard s owns sources in [s·block, (s+1)·block)), each in
+// time order. Pooled; valid until the next call.
 func (a *Arena) publishLists(sh *runShared, shards, block int) [][]int32 {
 	for len(a.pubBy) < shards {
 		a.pubBy = append(a.pubBy, nil)
@@ -121,20 +121,23 @@ func (a *Arena) publishLists(sh *runShared, shards, block int) [][]int32 {
 		a.pubBy[s] = a.pubBy[s][:0]
 	}
 	for m, src := range sh.source {
-		s := 0
-		if shards > 1 {
-			s = int(src) / block
-		}
+		s := int(src) / block
 		a.pubBy[s] = append(a.pubBy[s], int32(m))
 	}
 	return a.pubBy
 }
 
-// worker leases the pooled worker for shard s, growing the pool as
-// needed. The caller resets it for the run.
-func (a *Arena) worker(s int) *worker {
-	for len(a.workers) <= s {
-		a.workers = append(a.workers, &worker{})
+// leaseWorkers leases the pooled workers and their RNG slots for a run
+// on `shards` shards, growing the pools as needed. The caller fills the
+// RNG slots and resets every worker for the run.
+func (a *Arena) leaseWorkers(shards int) ([]*worker, []*xrand.RNG) {
+	for len(a.workers) < shards {
+		w := &worker{}
+		w.handle, w.handleBatch = w.onMessage, w.onBatch
+		a.workers = append(a.workers, w)
 	}
-	return a.workers[s]
+	if cap(a.rngs) < shards {
+		a.rngs = make([]*xrand.RNG, shards)
+	}
+	return a.workers[:shards], a.rngs[:shards]
 }

@@ -20,10 +20,11 @@
 // pressure evicts per the configured policy, and the run's ledger
 // reconciles publishes, deliveries, evictions and drops exactly.
 //
-// Run executes on a single kernel; RunSharded on the conservative-PDES
-// sharded runtime with the same determinism contract as the core
-// executors: byte-identical for a fixed shard count (shards=1 equals the
-// single kernel), statistically pinned across shard counts. Telemetry
+// RunSharded is the one execution body: one shard is a single kernel
+// drained to quiescence (Run and RunProbed), more shards run the
+// conservative-PDES windows, with the same determinism contract as the
+// core executor: byte-identical for a fixed shard count, statistically
+// pinned across shard counts. Telemetry
 // rides the obs.StreamProbe family (nil probe = zero overhead), and
 // scenario campaigns inject through the same core.NetRun seam as every
 // other execution.

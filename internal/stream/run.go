@@ -1,91 +1,26 @@
 package stream
 
 import (
-	"fmt"
 	"sort"
 
 	"gossipkit/internal/core"
-	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/xrand"
 )
 
-// Run executes one streaming run on a single kernel.
+// Run executes one streaming run on a single kernel with a throwaway
+// arena.
 func Run(cfg Config, netCfg simnet.Config, r *xrand.RNG) (Result, error) {
 	return RunProbed(cfg, netCfg, r, nil, nil, nil)
 }
 
-// RunProbed is Run with the full seam set: inject (non-nil) receives the
-// core.NetRun injection facade before the clock starts, so scenario
-// campaigns drive crash waves and burst loss while the stream is live;
-// arena (non-nil) recycles run state across runs; probe (non-nil)
-// collects streaming telemetry. Results are byte-identical whatever the
-// arena or probe state.
-//
-// RNG layout: the publish schedule comes from r.Split(publishSplit) and
-// the network stream from r.Split(netSplit) — splits never advance r —
-// then the failure mask consumes r and the run continues on r. The same
-// layout anchors the sharded executor's shards=1 equivalence.
+// RunProbed is Run with the full seam set on one kernel — RunSharded at
+// one shard.
 func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	inject func(*core.NetRun), arena *Arena, probe *obs.StreamProbe) (Result, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	if arena == nil {
-		arena = NewArena()
-	}
-	sh := arena.schedule(cfg, cfg.interval(netCfg), r)
-	st := arena.net.Lease(cfg.N, netCfg, r.Split(netSplit))
-	st.Kernel.SetBudget(budget(cfg, sh))
-	sh.mask = st.Mask
-	sh.mask.FillBernoulli(cfg.N, cfg.AliveRatio, 0, r)
-	sh.view = cfg.View
-	if sh.view == nil {
-		sh.view = membership.NewFullView(cfg.N)
-	}
-
-	w := arena.worker(0)
-	bits := arena.net.MessageBits(sh.M, cfg.N)
-	var pend *core.MessageBits
-	if cfg.Discipline == DisciplinePushPull {
-		pend = arena.net.NackBits(sh.M, cfg.N)
-	}
-	w.reset(0, 0, cfg.N, st.Net, r, sh, bits, pend, probe, arena.publishLists(sh, 1, cfg.N)[0])
-	probe.Attach(st.Net, &w.occ, &w.act)
-	st.Net.RegisterAll(func(now sim.Time, msg simnet.Message) { w.onMessage(now, msg) })
-	st.Net.RegisterBatchAll(func(now sim.Time, from, to simnet.NodeID, kind int32, ids []int32) {
-		w.onBatch(now, from, to, kind, ids)
-	})
-	for id := 0; id < cfg.N; id++ {
-		if !sh.mask.Alive(id) {
-			st.Net.Crash(simnet.NodeID(id))
-		}
-	}
-	w.armPublishes(st.Kernel)
-	w.installTick(st.Kernel)
-
-	if inject != nil {
-		ws := []*worker{w}
-		inject(core.NewNetRunFuncs(st.Kernel, st.Net, sh.view, sh.mask,
-			func(id int) bool { return hasReceivedLatest(sh, ws, cfg.N, id, st.Kernel.Now()) },
-			func() int { return w.firstTotal },
-			nil,
-			func(id int) {
-				if id < 0 || id >= cfg.N {
-					return
-				}
-				w.scenarioPublish(id, latestPublished(sh, st.Kernel.Now()), st.Kernel.Now())
-			}))
-	}
-
-	if err := st.Kernel.RunAll(); err != nil {
-		return Result{}, fmt.Errorf("stream: execution aborted: %w", err)
-	}
-	probe.Finish(st.Kernel.Now())
-	return reduce(cfg, sh, []*worker{w}, st.Net.Stats(), st.Kernel.Now()), nil
+	return RunSharded(cfg, netCfg, r, inject, arena, probe, core.ShardOptions{Shards: 1})
 }
 
 // budget bounds the kernel event count — a runaway guard far above any

@@ -11,26 +11,37 @@ import (
 	"gossipkit/internal/xrand"
 )
 
-// RunSharded executes one streaming run on the conservative-PDES sharded
-// runtime: members partitioned into contiguous blocks across per-core
-// shard kernels, lookahead windows from the latency model's floor,
-// cross-shard messages crossing at window barriers. RunProbed is the
-// equivalence oracle.
+// RunSharded executes one streaming run with the full seam set: inject
+// (non-nil) receives the core.NetRun injection facade before the clock
+// starts, so scenario campaigns drive crash waves and burst loss while
+// the stream is live; arena (non-nil) recycles run state across runs;
+// probe (non-nil) collects streaming telemetry. Results are
+// byte-identical whatever the arena or probe state. Members are
+// partitioned into contiguous blocks across shard kernels; with more than
+// one shard they advance in lookahead windows from the latency model's
+// floor on the conservative-PDES runtime, cross-shard messages crossing
+// at window barriers.
 //
-// Determinism contract (matching the core executors):
-//   - shards=1: byte-identical to RunProbed for the same inputs — same
-//     RNG layout, same event interleaving (the control kernel is the
-//     shard kernel and the run is a plain drain).
+// RNG layout: the publish schedule comes from r.Split(publishSplit) —
+// splits never advance r — then the failure mask consumes r. With one
+// shard the run continues on r and the network stream is
+// r.Split(netSplit); shard s of a multi-shard run draws from
+// r.Split(shardSplit+s) and its network from that stream's netSplit.
+//
+// Determinism contract (matching the core executor):
+//   - shards=1: one kernel drained to quiescence; the former
+//     single-kernel executor, kept in oracle_test.go, pins it byte for
+//     byte.
 //   - fixed shards>1: byte-identical across repeated runs and hosts.
 //   - across shard counts: statistically pinned — the publish schedule
 //     and failure mask are identical (both from non-consuming splits or
 //     from r before any shard stream is used), but fanout and latency
 //     draws come from per-shard streams.
 //
-// The probe fans out to per-shard children and adopts their merged
-// telemetry; the active-message gauge lives on shard 0. opts.Shards
-// below 1 auto-selects GOMAXPROCS; configurations without a positive
-// latency floor fall back to one shard.
+// With more than one shard the probe fans out to per-shard children and
+// adopts their merged telemetry; the active-message gauge lives on shard
+// 0. opts.Shards below 1 auto-selects GOMAXPROCS; configurations without
+// a positive latency floor fall back to one shard.
 func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	inject func(*core.NetRun), arena *Arena, probe *obs.StreamProbe, opts core.ShardOptions) (Result, error) {
 	cfg, err := cfg.normalize()
@@ -43,28 +54,21 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	shards := core.EffectiveShards(opts.Shards, cfg.N, netCfg)
 	sh := arena.schedule(cfg, cfg.interval(netCfg), r)
 	sa := arena.net.Sharded(shards)
-	ss := sa.LeaseSharded(shards)
-	kernels, ctl, sn := ss.Kernels, ss.Control, ss.Net
-	group := sim.NewShardGroup(kernels, ctl, core.LatencyFloor(netCfg.Latency))
+	ss := sa.LeaseSharded(shards, cfg.N, netCfg)
+	kernels, ctl, sn, group := ss.Kernels, ss.Control, ss.Net, ss.Group
 	block := (cfg.N + shards - 1) / shards
 
 	// RNG layout: worker streams split off r (never advancing it), so
 	// the mask draw below is shard-count independent; with one shard the
-	// worker stream is r itself, anchoring the RunProbed equivalence.
-	workers := make([]*worker, shards)
-	for s := range workers {
-		workers[s] = arena.worker(s) // leased here; reset on the shard goroutine
-	}
-	rngs := make([]*xrand.RNG, shards)
-	if shards == 1 {
-		rngs[0] = r
-	} else {
-		for s := range rngs {
+	// worker stream is r itself.
+	workers, rngs := arena.leaseWorkers(shards)
+	for s := range rngs {
+		rngs[s] = r
+		if shards > 1 {
 			rngs[s] = r.Split(shardSplit + uint64(s))
 		}
 	}
 	pubBy := arena.publishLists(sh, shards, block)
-	sn.Prepare(shards, cfg.N, netCfg)
 	bud := budget(cfg, sh)
 	group.Each(func(s int) {
 		// Per-shard state resets on the shard's own goroutine
@@ -107,12 +111,9 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 		}
 	}
 
-	for s := 0; s < shards; s++ {
-		w := workers[s]
-		sn.Shard(s).RegisterAll(func(now sim.Time, msg simnet.Message) { w.onMessage(now, msg) })
-		sn.Shard(s).RegisterBatchAll(func(now sim.Time, from, to simnet.NodeID, kind int32, ids []int32) {
-			w.onBatch(now, from, to, kind, ids)
-		})
+	for _, w := range workers {
+		w.nw.RegisterAll(w.handle)
+		w.nw.RegisterBatchAll(w.handleBatch)
 	}
 	group.Each(func(s int) {
 		for id := s * block; id < min((s+1)*block, cfg.N); id++ {
@@ -161,18 +162,12 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 			}))
 	}
 
-	var runErr error
-	if shards == 1 {
-		runErr = ctl.RunAll()
-	} else {
-		var onBarrier func(now sim.Time, fired uint64)
-		if opts.Progress != nil {
-			onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
-		}
-		runErr = group.Run(sn.Flush, sn.Buffered, onBarrier)
+	var onBarrier func(now sim.Time, fired uint64)
+	if opts.Progress != nil {
+		onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
 	}
-	if runErr != nil {
-		return Result{}, fmt.Errorf("stream: sharded execution aborted: %w", runErr)
+	if err := group.Run(sn.Flush, sn.Buffered, onBarrier); err != nil {
+		return Result{}, fmt.Errorf("stream: execution aborted: %w", err)
 	}
 	if probe != nil {
 		if shards == 1 {

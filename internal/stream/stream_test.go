@@ -152,26 +152,69 @@ func TestRunDeterministicAcrossRepeatsAndArenas(t *testing.T) {
 	}
 }
 
+// streamCampaign exercises every NetRun seam a scenario drives a stream
+// through: fabric ops (crash, restart, loss swap), extra publishes, and
+// the receipt and pending predicates.
+func streamCampaign(run *core.NetRun) {
+	run.Kernel.At(sim.Time(60*time.Millisecond), func() {
+		run.Net.Crash(simnet.NodeID(5))
+		run.Net.SetLoss(simnet.BernoulliLoss{P: 0.1})
+		for id := 0; id < 4; id++ {
+			run.Publish(id)
+		}
+	})
+	run.Kernel.At(sim.Time(140*time.Millisecond), func() {
+		if run.Restartable(5) && !run.HasReceived(5) {
+			run.Net.Restart(simnet.NodeID(5))
+		}
+		run.Net.SetLoss(simnet.NoLoss{})
+		run.Publish(run.Delivered() % 64)
+		run.Publish(run.Pending() % 64)
+	})
+}
+
+// TestShardedSingleShardMatchesRunProbed pins the shards=1 contract: the
+// production body at one shard is byte-identical to the single-kernel
+// oracle it replaced, results and probe telemetry alike, with and without
+// a mid-run campaign, on both wire formats.
 func TestShardedSingleShardMatchesRunProbed(t *testing.T) {
 	for _, d := range []Discipline{DisciplineEager, DisciplinePush, DisciplinePushPull} {
-		t.Run(d.String(), func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Discipline = d
-			cfg.AliveRatio = 0.9
-			cfg.BufferCap = 8
-			single, err := Run(cfg, testNetConfig(), xrand.New(5))
-			if err != nil {
-				t.Fatal(err)
+		for _, batch := range []bool{false, true} {
+			for _, inject := range []func(*core.NetRun){nil, streamCampaign} {
+				name := d.String()
+				if batch {
+					name += "/batch"
+				}
+				if inject != nil {
+					name += "/campaign"
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := testConfig()
+					cfg.Discipline = d
+					cfg.Batch = batch
+					cfg.AliveRatio = 0.9
+					cfg.BufferCap = 8
+					opts := obs.Options{CurveTick: 5 * time.Millisecond}
+					oracleProbe := obs.NewStream(opts)
+					single, err := oracleRun(cfg, testNetConfig(), xrand.New(5), inject, nil, oracleProbe)
+					if err != nil {
+						t.Fatal(err)
+					}
+					probe := obs.NewStream(opts)
+					sharded, err := RunSharded(cfg, testNetConfig(), xrand.New(5), inject, nil, probe,
+						core.ShardOptions{Shards: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(single, sharded) {
+						t.Fatal("shards=1 result diverged from single-kernel oracle")
+					}
+					if !reflect.DeepEqual(oracleProbe.Metrics(), probe.Metrics()) {
+						t.Fatal("shards=1 probe metrics diverged from single-kernel oracle")
+					}
+				})
 			}
-			sharded, err := RunSharded(cfg, testNetConfig(), xrand.New(5), nil, nil, nil,
-				core.ShardOptions{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(single, sharded) {
-				t.Fatal("shards=1 result diverged from single-kernel run")
-			}
-		})
+		}
 	}
 }
 

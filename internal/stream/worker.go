@@ -35,6 +35,11 @@ type worker struct {
 	probe       *obs.StreamProbe
 	pubList     []int32 // schedule indices this worker publishes, time order
 	pubHID      sim.HandlerID
+	// handle and handleBatch are onMessage and onBatch bound once when
+	// the pooled worker is made, so registering them per run allocates
+	// nothing.
+	handle      simnet.Handler
+	handleBatch simnet.BatchHandler
 
 	// ids assembles one outgoing batch per (member, round) under
 	// Config.Batch; reply assembles batched NACK sets and repair batches

@@ -24,6 +24,10 @@ import (
 // arbitrary allocation.
 const MaxFrame = 1 << 20
 
+// maxPayload bounds a Gossip payload, on both sides of the wire: Decode
+// accepts exactly the payloads Encode can produce.
+const maxPayload = MaxFrame / 2
+
 // Message type tags.
 const (
 	TypeGossip  = 0x01
@@ -209,7 +213,7 @@ func appendString(b []byte, s string) ([]byte, error) {
 }
 
 func appendBytes(b, p []byte) ([]byte, error) {
-	if len(p) > MaxFrame/2 {
+	if len(p) > maxPayload {
 		return nil, ErrFrameTooLarge
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
@@ -274,7 +278,7 @@ func (d *decoder) bytes() []byte {
 		return nil
 	}
 	n := binary.BigEndian.Uint32(b4)
-	if n > MaxFrame {
+	if n > maxPayload {
 		d.err = ErrFrameTooLarge
 		return nil
 	}
