@@ -7,6 +7,7 @@
 package gossipkit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -90,23 +91,20 @@ func BenchmarkScenarioSweep(b *testing.B) {
 	suite := DefaultScenarioSuite()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := ScenarioSweepConfig{
-				Run: ScenarioRunConfig{
-					Params:            Params{N: 500, Fanout: Poisson(5), AliveRatio: 1},
-					PartialViewCopies: 2,
-				},
-				Seeds:   4,
-				Workers: workers,
+			cfg := ScenarioRunConfig{
+				Params:            Params{N: 500, Fanout: Poisson(5), AliveRatio: 1},
+				PartialViewCopies: 2,
 			}
-			cells := len(suite) * cfg.Seeds
+			const seeds = 4
+			cells := len(suite) * seeds
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg.BaseSeed = uint64(i + 1)
-				res, err := SweepScenarios(suite, cfg)
+				out, err := RunMany(context.Background(), Campaign{Scenarios: suite, Config: cfg},
+					seeds, WithSeed(uint64(i+1)), WithWorkers(workers))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Scenarios) != len(suite) {
+				if len(out.Aggregate.(*ScenarioSweepResult).Scenarios) != len(suite) {
 					b.Fatal("incomplete sweep")
 				}
 			}
@@ -124,7 +122,7 @@ func BenchmarkEndToEndMulticast(b *testing.B) {
 			r := NewRNG(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Execute(p, r); err != nil {
+				if _, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithRNG(r)); err != nil {
 					b.Fatal(err)
 				}
 			}

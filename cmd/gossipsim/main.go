@@ -80,6 +80,19 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 		return err
 	}
 	p := gossipkit.Params{N: n, Fanout: d, AliveRatio: q}
+	cfg := gossipkit.NetConfig{}
+	if latency > 0 {
+		cfg.Latency = gossipkit.ConstantLatency(latency)
+	} else if topo.Kind == gossipkit.TopologyWAN {
+		cfg.Latency = gossipkit.WANLatency(n, topo.Zones, time.Millisecond, 10*time.Millisecond)
+	}
+	if loss != 0 {
+		cfg.Loss = gossipkit.BernoulliLoss(loss)
+	}
+	// Reject a bad -loss before the Monte-Carlo sweeps spend any time.
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	var observe gossipkit.Observer
 	if progress {
 		observe = func(r gossipkit.Report) {
@@ -123,15 +136,6 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 	}
 
 	if latency > 0 || loss > 0 || metrics || trace != "" || shards != 1 || !topo.IsUniform() {
-		cfg := gossipkit.NetConfig{}
-		if latency > 0 {
-			cfg.Latency = gossipkit.ConstantLatency(latency)
-		} else if topo.Kind == gossipkit.TopologyWAN {
-			cfg.Latency = gossipkit.WANLatency(n, topo.Zones, time.Millisecond, 10*time.Millisecond)
-		}
-		if loss > 0 {
-			cfg.Loss = gossipkit.BernoulliLoss(loss)
-		}
 		// WithRNG keeps this on the exact stream the pre-engine CLI used
 		// (xrand.New(seed+2) consumed directly), so output stays diffable
 		// across releases; the probe observes without touching that stream.

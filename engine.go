@@ -160,7 +160,6 @@ type runOptions struct {
 	noReports     bool
 	probe         *ProbeOptions // dissemination telemetry (DES engines only)
 	rng           *RNG          // single-run override: execute on this RNG stream
-	arena         *NetArena     // deprecated-shim arena pass-through (Network only)
 	shards        int           // conservative-PDES shard kernels (Network engine)
 	topology      topology.Spec // gossip overlay (zero value = uniform full view)
 	shardProgress func(events uint64, virtualNow time.Duration)
@@ -262,8 +261,8 @@ func mergeTopology(cfg *ScenarioRunConfig, o *runOptions) error {
 
 // WithRNG makes a single Run execute on the caller's RNG stream instead of
 // deriving one from WithSeed, consuming randomness exactly where the
-// stream stands — the contract the deprecated Execute/ExecuteOnNetwork
-// shims rely on. Only valid for single executions (not RunMany/WithRuns),
+// stream stands, so a caller can interleave executions with its own draws
+// on one stream. Only valid for single executions (not RunMany/WithRuns),
 // and only on engines that consume an RNG directly (MonteCarlo, Network,
 // and the protocol baselines).
 func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
@@ -276,8 +275,7 @@ func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
 //	out, err := gossipkit.Run(ctx, gossipkit.MonteCarlo{Params: p},
 //		gossipkit.WithRuns(1000), gossipkit.WithObserver(progress))
 //
-// A single Run uses the seed exactly as given (so it reproduces the
-// corresponding deprecated single-shot function); WithRuns(n) switches to
+// A single Run uses the seed exactly as given; WithRuns(n) switches to
 // RunMany's replication-sweep semantics. Engines that declare their own
 // replication structure (Success via SuccessParams.Simulations, Campaign
 // under RunMany) emit one Report per inner replication.

@@ -64,6 +64,9 @@ func (s Compare) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 			return nil, invalid(err)
 		}
 	}
+	if err := s.Config.Net.Validate(); err != nil {
+		return nil, invalid(err)
+	}
 	if o.rng != nil {
 		return nil, fmt.Errorf("%w: the compare engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}

@@ -36,6 +36,9 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 	if err := s.Params.Validate(); err != nil {
 		return nil, invalid(err)
 	}
+	if err := s.Net.Validate(); err != nil {
+		return nil, invalid(err)
+	}
 	if err := o.topology.Validate(s.Params.N); err != nil {
 		return nil, invalid(err)
 	}
@@ -68,7 +71,7 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		if o.probe != nil {
 			probe = obs.New(*o.probe)
 		}
-		res, err := execute(o.rng, o.arena, probe)
+		res, err := execute(o.rng, nil, probe)
 		if err != nil {
 			return nil, err
 		}

@@ -58,6 +58,9 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 			return nil, invalid(err)
 		}
 	}
+	if err := s.Config.Net.Validate(); err != nil {
+		return nil, invalid(err)
+	}
 	if o.rng != nil {
 		return nil, fmt.Errorf("%w: the scenario engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}

@@ -3,9 +3,15 @@ package gossipkit
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"gossipkit/internal/core"
+	"gossipkit/internal/scenario"
 )
 
 func allEngineSpecs() []Engine {
@@ -189,6 +195,24 @@ func TestInvalidParamsSentinel(t *testing.T) {
 			t.Errorf("%s: err %v does not match ErrInvalidParams", spec.Name(), err)
 		}
 	}
+	// A Bernoulli loss probability outside [0,1] (or NaN) is rejected by
+	// every engine that takes a NetConfig.
+	for _, loss := range []float64{2, -0.5, math.NaN()} {
+		net := NetConfig{Loss: BernoulliLoss(loss)}
+		scfg := ScenarioRunConfig{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}, Net: net}
+		for _, spec := range []Engine{
+			Network{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}, Net: net},
+			Pbcast{Params: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net},
+			Stream{Config: testStreamConfig(), Net: net},
+			Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: scfg},
+			Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: scfg},
+		} {
+			_, err := RunMany(context.Background(), spec, 1)
+			if !errors.Is(err, ErrInvalidParams) || !strings.Contains(fmt.Sprint(err), "loss probability") {
+				t.Errorf("%s with loss %g: %v", spec.Name(), loss, err)
+			}
+		}
+	}
 	// Grid axes and RNG misuse validate with the same sentinel.
 	okCfg := ScenarioRunConfig{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}}
 	if _, err := RunMany(context.Background(), Campaign{Scenarios: DefaultScenarioSuite()[:1],
@@ -215,58 +239,9 @@ func TestInvalidParamsSentinel(t *testing.T) {
 	}
 }
 
-// TestShimEquivalence: the deprecated shims reproduce the direct internal
-// results exactly — Execute/ExecuteOnNetwork consume the caller's RNG
-// stream in place, RunScenario uses the seed verbatim.
-func TestShimEquivalence(t *testing.T) {
-	p := Params{N: 400, Fanout: Poisson(5), AliveRatio: 0.9}
-
-	direct, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithRNG(NewRNG(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShim, err := Execute(p, NewRNG(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Reports[0].Detail.(Result) != viaShim {
-		t.Error("Execute shim diverged from engine run")
-	}
-
-	cfg := NetConfig{Latency: UniformLatency(time.Millisecond, 10*time.Millisecond)}
-	a, err := ExecuteOnNetwork(p, cfg, NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), Network{Params: p, Net: cfg}, WithRNG(NewRNG(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b.Reports[0].Detail.(NetResult) {
-		t.Error("ExecuteOnNetwork shim diverged from engine run")
-	}
-
-	s := DefaultScenarioSuite()[1]
-	scfg := ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}}
-	r1, err := RunScenario(s, scfg, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), Campaign{Scenarios: []*Scenario{s}, Config: scfg}, WithSeed(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != out.Reports[0].Detail.(ScenarioReport) {
-		t.Error("RunScenario shim diverged from engine run")
-	}
-	if r1.Seed != 77 {
-		t.Errorf("single scenario run used seed %d, want the seed verbatim", r1.Seed)
-	}
-}
-
 // TestNetworkEngineMatchesSingleRuns: RunMany's internally pooled arenas
-// must reproduce what fresh per-run executions produce (arena reuse is
-// result-neutral), with run i on the RNG stream split at i.
+// must reproduce what fresh per-run core executions produce (arena reuse
+// is result-neutral), with run i on the RNG stream split at i.
 func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 	p := Params{N: 500, Fanout: Poisson(5), AliveRatio: 0.9}
 	cfg := NetConfig{Latency: UniformLatency(time.Millisecond, 8*time.Millisecond)}
@@ -278,7 +253,7 @@ func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 	}
 	root := NewRNG(123)
 	for i := 0; i < runs; i++ {
-		want, err := ExecuteOnNetwork(p, cfg, root.Split(uint64(i)))
+		want, err := core.ExecuteOnNetwork(p, cfg, root.Split(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +264,8 @@ func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 }
 
 // TestCampaignGridAggregate: grid axes produce a ScenarioGridResult whose
-// cells match the deprecated grid sweep byte for byte.
+// cells match the scenario package's grid sweep byte for byte, and a
+// single-scenario Run uses its seed verbatim.
 func TestCampaignGridAggregate(t *testing.T) {
 	scenarios := DefaultScenarioSuite()[:2]
 	cfg := ScenarioRunConfig{Params: Params{N: 200, Fanout: Poisson(5), AliveRatio: 1}}
@@ -311,19 +287,27 @@ func TestCampaignGridAggregate(t *testing.T) {
 	if out.Runs != 2*2*2*2 {
 		t.Fatalf("outcome saw %d runs, want one per grid execution", out.Runs)
 	}
-	old, err := SweepScenarioGrid(scenarios, ScenarioGridConfig{
+	want, err := scenario.SweepGridCtx(context.Background(), scenarios, ScenarioGridConfig{
 		Run: cfg, Qs: qs, Fanouts: fans, Seeds: 2, BaseSeed: 5, Workers: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(grid, old) {
-		t.Error("engine grid diverged from deprecated SweepScenarioGrid")
+	if !reflect.DeepEqual(grid, want) {
+		t.Error("engine grid diverged from scenario.SweepGridCtx")
+	}
+
+	single, err := Run(context.Background(), Campaign{Scenarios: scenarios[1:], Config: cfg}, WithSeed(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed := single.Reports[0].Detail.(ScenarioReport).Seed; seed != 77 {
+		t.Errorf("single scenario run used seed %d, want the seed verbatim", seed)
 	}
 }
 
 // TestSuccessEngineSemantics: Run executes the spec's Simulations count;
-// RunMany overrides it; the aggregate matches the deprecated RunSuccess.
+// RunMany overrides it; the aggregate matches core.RunSuccessCtx.
 func TestSuccessEngineSemantics(t *testing.T) {
 	p := SuccessParams{
 		Params:      Params{N: 300, Fanout: Poisson(5), AliveRatio: 0.9},
@@ -338,14 +322,14 @@ func TestSuccessEngineSemantics(t *testing.T) {
 		t.Errorf("Run emitted %d simulations, want the spec's 5", out.Runs)
 	}
 	agg := out.Aggregate.(SuccessOutcome)
-	old, err := RunSuccess(p, 11)
+	want, err := core.RunSuccessCtx(context.Background(), p, 11, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.SuccessRate != old.SuccessRate ||
-		agg.MeanExecutionReliability != old.MeanExecutionReliability ||
-		agg.ReceiptHistogram.Total() != old.ReceiptHistogram.Total() {
-		t.Error("Success engine aggregate diverged from RunSuccess")
+	if agg.SuccessRate != want.SuccessRate ||
+		agg.MeanExecutionReliability != want.MeanExecutionReliability ||
+		agg.ReceiptHistogram.Total() != want.ReceiptHistogram.Total() {
+		t.Error("Success engine aggregate diverged from core.RunSuccessCtx")
 	}
 	many, err := RunMany(context.Background(), Success{Params: p}, 3, WithSeed(11))
 	if err != nil {

@@ -247,8 +247,9 @@ func WANLatency(n, zones int, local, step time.Duration) simnet.LatencyModel {
 	return topology.NewZoneLatency(n, zones, local, step)
 }
 
-// NetConfig configures the simulated network substrate for
-// ExecuteOnNetwork.
+// NetConfig configures the simulated network substrate of the
+// discrete-event engines. Engines reject a BernoulliLoss probability
+// outside [0,1] with ErrInvalidParams.
 type NetConfig = simnet.Config
 
 // NetResult is a network-backed execution outcome.

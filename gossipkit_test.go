@@ -1,6 +1,7 @@
 package gossipkit
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -61,10 +62,11 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if pred.Reliability < 0.9 || pred.Reliability > 1 {
 		t.Fatalf("prediction %.4f out of expected band", pred.Reliability)
 	}
-	est, err := MeasureGiantComponent(p, 20, 42)
+	out, err := RunMany(context.Background(), MonteCarlo{Params: p}, 20, WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := out.Aggregate.(ComponentEstimate)
 	if math.Abs(est.Mean-pred.Reliability) > 0.03 {
 		t.Errorf("measured %.4f vs predicted %.4f", est.Mean, pred.Reliability)
 	}
@@ -108,11 +110,11 @@ func TestFacadeExecuteAndViews(t *testing.T) {
 	r := NewRNG(7)
 	pv := PartialViews(200, 1, r)
 	p := Params{N: 200, Fanout: Poisson(4), AliveRatio: 1, View: pv}
-	res, err := Execute(p, r)
+	out, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithRNG(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered < 1 {
+	if res := out.Reports[0].Detail.(Result); res.Delivered < 1 {
 		t.Error("nothing delivered")
 	}
 	full := FullView(200)
@@ -123,25 +125,25 @@ func TestFacadeExecuteAndViews(t *testing.T) {
 
 func TestFacadeNetworkExecution(t *testing.T) {
 	p := Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}
-	res, err := ExecuteOnNetwork(p, NetConfig{}, NewRNG(5))
+	out, err := Run(context.Background(), Network{Params: p}, WithRNG(NewRNG(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered < 1 || res.Net.Sent == 0 {
+	if res := out.Reports[0].Detail.(NetResult); res.Delivered < 1 || res.Net.Sent == 0 {
 		t.Errorf("network execution: %+v", res.Result)
 	}
 }
 
 func TestFacadeSuccessProtocol(t *testing.T) {
-	out, err := RunSuccess(SuccessParams{
+	out, err := Run(context.Background(), Success{Params: SuccessParams{
 		Params:      Params{N: 300, Fanout: Poisson(5), AliveRatio: 0.9},
 		Executions:  5,
 		Simulations: 4,
-	}, 11)
+	}}, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ReceiptHistogram.Total() != 4*270 {
-		t.Errorf("histogram total %d", out.ReceiptHistogram.Total())
+	if h := out.Aggregate.(SuccessOutcome).ReceiptHistogram; h.Total() != 4*270 {
+		t.Errorf("histogram total %d", h.Total())
 	}
 }

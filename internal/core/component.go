@@ -114,13 +114,6 @@ type ComponentEstimate struct {
 // order, regardless of worker count.
 type ComponentObserver func(run int, res ComponentResult)
 
-// EstimateComponentReliability runs `runs` independent giant-component
-// executions in parallel (deterministic for a given seed); see
-// EstimateComponentReliabilityCtx.
-func EstimateComponentReliability(p Params, runs int, seed uint64) (ComponentEstimate, error) {
-	return EstimateComponentReliabilityCtx(context.Background(), p, runs, seed, 0, nil)
-}
-
 // EstimateComponentReliabilityCtx runs `runs` independent giant-component
 // executions on a worker pool. Run i consumes the RNG stream split at
 // index i and results are reduced in run order, so the estimate is

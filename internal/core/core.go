@@ -139,22 +139,6 @@ func ExecuteOnce(p Params, r *xrand.RNG) (Result, error) {
 	return newExecutor(p).run(p.drawMask(r), r), nil
 }
 
-// ExecuteWithMask runs one execution against a caller-supplied failure
-// mask (the success protocol reuses one mask across executions). The mask
-// must have length N and keep the source alive.
-func ExecuteWithMask(p Params, mask *failure.Mask, r *xrand.RNG) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if mask.N() != p.N {
-		return Result{}, fmt.Errorf("core: mask size %d != group size %d", mask.N(), p.N)
-	}
-	if !mask.Alive(p.Source) {
-		return Result{}, errors.New("core: source is failed in supplied mask")
-	}
-	return newExecutor(p).run(mask, r), nil
-}
-
 // executor holds the reusable per-worker buffers for executions. One
 // executor serves many runs of the same Params (same N and view), which
 // keeps the Monte-Carlo inner loop allocation-free.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"gossipkit/internal/dist"
@@ -140,7 +142,7 @@ func TestSimulationMatchesAnalyticModel(t *testing.T) {
 		{5000, 2.5, 0.8},
 	} {
 		p := poissonParams(c.n, c.z, c.q)
-		est, err := EstimateComponentReliability(p, 40, 42)
+		est, err := EstimateComponentReliabilityCtx(context.Background(), p, 40, 42, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +168,7 @@ func TestDirectedReachEqualsSTimesOutbreak(t *testing.T) {
 	// source with probability ≈ 1−S), strictly below the paper's S.
 	z, q := 4.0, 0.9
 	p := poissonParams(2000, z, q)
-	est, err := EstimateReliability(p, 400, 13)
+	est, err := EstimateReliabilityCtx(context.Background(), p, 400, 13, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestDirectedReachEqualsSTimesOutbreak(t *testing.T) {
 		t.Errorf("directed mean %.4f should sit below S = %.4f", est.Mean, s)
 	}
 	// The SourceInGiant frequency of the component semantics is S too.
-	cEst, err := EstimateComponentReliability(p, 400, 14)
+	cEst, err := EstimateComponentReliabilityCtx(context.Background(), p, 400, 14, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestFixedFanoutMatchesForwardSpreadNotUndirectedModel(t *testing.T) {
 	// moderate fanout and q=1 (undirected: S=1 for Fixed(3); directed
 	// spread: y = 1-e^{-3y} ≈ 0.941).
 	p := Params{N: 5000, Fanout: dist.NewFixed(3), AliveRatio: 1, Source: 0}
-	est, err := EstimateReliability(p, 40, 7)
+	est, err := EstimateReliabilityCtx(context.Background(), p, 40, 7, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +240,11 @@ func TestMaskKindsAgree(t *testing.T) {
 	pe := poissonParams(2000, 4, 0.8)
 	pb := pe
 	pb.MaskKind = Bernoulli
-	ee, err := EstimateComponentReliability(pe, 40, 11)
+	ee, err := EstimateComponentReliabilityCtx(context.Background(), pe, 40, 11, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := EstimateComponentReliability(pb, 40, 12)
+	eb, err := EstimateComponentReliabilityCtx(context.Background(), pb, 40, 12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,38 +253,20 @@ func TestMaskKindsAgree(t *testing.T) {
 	}
 }
 
-func TestExecuteWithMaskValidation(t *testing.T) {
-	p := poissonParams(100, 4, 0.9)
-	r := xrand.New(1)
-	badSize := failure.NewMask(50)
-	if _, err := ExecuteWithMask(p, badSize, r); err == nil {
-		t.Error("mask size mismatch accepted")
-	}
-	deadSource := failure.NewMask(100)
-	deadSource.Kill(0)
-	if _, err := ExecuteWithMask(p, deadSource, r); err == nil {
-		t.Error("dead source accepted")
-	}
-	ok := failure.NewMask(100)
-	if _, err := ExecuteWithMask(p, ok, r); err != nil {
-		t.Errorf("valid mask rejected: %v", err)
-	}
-}
-
 func TestEstimateReliabilityDeterministic(t *testing.T) {
 	p := poissonParams(500, 4, 0.8)
-	a, err := EstimateReliability(p, 30, 99)
+	a, err := EstimateReliabilityCtx(context.Background(), p, 30, 99, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateReliability(p, 30, 99)
+	b, err := EstimateReliabilityCtx(context.Background(), p, 30, 99, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("same seed, different estimates:\n%+v\n%+v", a, b)
 	}
-	c, err := EstimateReliability(p, 30, 100)
+	c, err := EstimateReliabilityCtx(context.Background(), p, 30, 100, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +277,7 @@ func TestEstimateReliabilityDeterministic(t *testing.T) {
 
 func TestEstimateReliabilityFields(t *testing.T) {
 	p := poissonParams(500, 4, 0.8)
-	est, err := EstimateReliability(p, 25, 5)
+	est, err := EstimateReliabilityCtx(context.Background(), p, 25, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +290,7 @@ func TestEstimateReliabilityFields(t *testing.T) {
 	if est.CI95 <= 0 || est.MeanMessages <= 0 || est.MeanRounds <= 0 {
 		t.Errorf("degenerate aggregates: %+v", est)
 	}
-	if _, err := EstimateReliability(p, 0, 1); err == nil {
+	if _, err := EstimateReliabilityCtx(context.Background(), p, 0, 1, 0, nil); err == nil {
 		t.Error("zero runs accepted")
 	}
 }
@@ -348,11 +332,11 @@ func TestPartialViewReliabilityClose(t *testing.T) {
 	pFull := poissonParams(n, 4, 0.9)
 	pPart := pFull
 	pPart.View = pv
-	full, err := EstimateReliability(pFull, 30, 21)
+	full, err := EstimateReliabilityCtx(context.Background(), pFull, 30, 21, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := EstimateReliability(pPart, 30, 22)
+	part, err := EstimateReliabilityCtx(context.Background(), pPart, 30, 22, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +348,11 @@ func TestPartialViewReliabilityClose(t *testing.T) {
 func TestRoundsGrowLogarithmically(t *testing.T) {
 	// Gossip spreads in O(log n) hops; doubling n four times should add
 	// only a few rounds.
-	est1, err := EstimateReliability(poissonParams(500, 6, 1), 20, 3)
+	est1, err := EstimateReliabilityCtx(context.Background(), poissonParams(500, 6, 1), 20, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est2, err := EstimateReliability(poissonParams(8000, 6, 1), 20, 4)
+	est2, err := EstimateReliabilityCtx(context.Background(), poissonParams(8000, 6, 1), 20, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +396,26 @@ func BenchmarkEstimateReliabilityParallel(b *testing.B) {
 	p := poissonParams(1000, 4, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateReliability(p, 20, uint64(i)); err != nil {
+		if _, err := EstimateReliabilityCtx(context.Background(), p, 20, uint64(i), 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TimingEquivalent reruns p under both crash timings with identical
+// randomness and reports whether the delivered sets match. It backs the
+// paper's claim that the two failure cases "are treated the same".
+func TimingEquivalent(p Params, seed uint64) (bool, error) {
+	if err := p.Validate(); err != nil {
+		return false, err
+	}
+	run := func(tm failure.Timing) []int32 {
+		pp := p
+		pp.Timing = tm
+		r := xrand.New(seed)
+		ex := newExecutor(pp)
+		ex.run(pp.drawMask(r), r)
+		return append([]int32(nil), ex.delivered()...)
+	}
+	return slices.Equal(run(failure.BeforeReceive), run(failure.AfterReceive)), nil
 }

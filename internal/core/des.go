@@ -208,39 +208,3 @@ func ExecuteOnNetwork(p Params, netCfg simnet.Config, r *xrand.RNG) (NetResult, 
 func ExecuteOnNetworkArena(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena) (NetResult, error) {
 	return ExecuteOnNetworkSharded(p, netCfg, r, inject, arena.Sharded(1), nil, ShardOptions{Shards: 1})
 }
-
-// TimingEquivalent reruns p under both crash timings with identical
-// randomness and reports whether the delivered sets match. It backs the
-// paper's claim that the two failure cases "are treated the same".
-func TimingEquivalent(p Params, seed uint64) (bool, error) {
-	if err := p.Validate(); err != nil {
-		return false, err
-	}
-	run := func(tm failure.Timing) ([]int32, *failure.Mask, error) {
-		pp := p
-		pp.Timing = tm
-		r := xrand.New(seed)
-		mask := pp.drawMask(r)
-		ex := newExecutor(pp)
-		ex.run(mask, r)
-		out := append([]int32(nil), ex.delivered()...)
-		return out, mask, nil
-	}
-	a, _, err := run(failure.BeforeReceive)
-	if err != nil {
-		return false, err
-	}
-	b, _, err := run(failure.AfterReceive)
-	if err != nil {
-		return false, err
-	}
-	if len(a) != len(b) {
-		return false, nil
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false, nil
-		}
-	}
-	return true, nil
-}

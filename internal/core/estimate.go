@@ -34,12 +34,6 @@ type Estimate struct {
 // worker completed the ordered prefix.
 type RunObserver func(run int, res Result)
 
-// EstimateReliability runs `runs` independent executions of the algorithm
-// and returns aggregate statistics; see EstimateReliabilityCtx.
-func EstimateReliability(p Params, runs int, seed uint64) (Estimate, error) {
-	return EstimateReliabilityCtx(context.Background(), p, runs, seed, 0, nil)
-}
-
 // EstimateReliabilityCtx runs `runs` independent executions of the
 // algorithm on a worker pool and returns aggregate statistics of the
 // directed source reach. Run i consumes the RNG stream split at index i

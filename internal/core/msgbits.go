@@ -81,9 +81,6 @@ func (b *MessageBits) Reset(msgs, width int) {
 	}
 }
 
-// Msgs returns the number of rows (messages).
-func (b *MessageBits) Msgs() int { return b.msgs }
-
 // Get reports whether member id has received message m.
 func (b *MessageBits) Get(m, id int) bool {
 	seg := b.segs[uint(m)>>b.logRows]

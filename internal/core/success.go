@@ -95,12 +95,6 @@ type SuccessSim struct {
 // regardless of worker count.
 type SuccessObserver func(sim int, s SuccessSim)
 
-// RunSuccess runs the success protocol and aggregates the receipt-count
-// distribution; see RunSuccessCtx.
-func RunSuccess(p SuccessParams, seed uint64) (SuccessOutcome, error) {
-	return RunSuccessCtx(context.Background(), p, seed, 0, nil)
-}
-
 // RunSuccessCtx runs the success protocol's p.Simulations independent
 // simulations on a worker pool with per-simulation RNG streams, so the
 // outcome depends only on the seed and is identical for any worker count

@@ -53,9 +53,6 @@ func New(p dist.Distribution) *Model {
 	return &Model{p: p}
 }
 
-// Dist returns the underlying fanout distribution.
-func (m *Model) Dist() dist.Distribution { return m.p }
-
 // G0 evaluates the degree generating function G0(x) = Σ p_k x^k.
 func (m *Model) G0(x float64) float64 { return dist.PGF(m.p, x) }
 

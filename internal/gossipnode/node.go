@@ -11,7 +11,6 @@
 package gossipnode
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -335,6 +334,3 @@ func (n *Node) Ping(addr string, seq uint64) bool {
 	pong, ok := msg.(wire.Pong)
 	return ok && pong.Seq == seq
 }
-
-// ErrClosed is returned by operations on a closed node.
-var ErrClosed = errors.New("gossipnode: node closed")

@@ -109,26 +109,6 @@ func TestBFSSelfLoopAndParallel(t *testing.T) {
 	}
 }
 
-func TestReachableMask(t *testing.T) {
-	g := path(5)
-	b := NewBFS(5)
-	mask := make([]bool, 5)
-	if got := b.ReachableMask(g, 2, mask); got != 3 {
-		t.Errorf("reach = %d", got)
-	}
-	want := []bool{false, false, true, true, true}
-	for i := range want {
-		if mask[i] != want[i] {
-			t.Errorf("mask[%d] = %v, want %v", i, mask[i], want[i])
-		}
-	}
-	// Rerun from another source: mask must be reset.
-	b.ReachableMask(g, 4, mask)
-	if mask[2] || !mask[4] {
-		t.Error("mask not reset between runs")
-	}
-}
-
 func TestBFSSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,7 +1,6 @@
 // Package numeric provides the small numerical toolkit the analytic model
-// needs: robust 1-D root finding (bisection, Brent, safeguarded Newton),
-// damped fixed-point iteration, and a fixed-step RK4 ODE integrator for the
-// epidemic baseline model.
+// needs: robust 1-D root finding (Brent, safeguarded Newton), damped
+// fixed-point iteration, and a fixed-step RK4 ODE integrator.
 //
 // All routines are pure functions over float64 and deterministic; errors are
 // returned (never panicked) so the model layer can degrade gracefully.
@@ -23,38 +22,6 @@ var ErrNoConverge = errors.New("numeric: iteration did not converge")
 
 // DefaultTol is the default absolute tolerance for the root finders.
 const DefaultTol = 1e-12
-
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs (or one of them must be zero). The result is within tol of
-// a true root.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, nil // 200 halvings exhaust float64 resolution
-}
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection safeguards). It converges superlinearly on

@@ -2,10 +2,44 @@ package numeric
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
+// opposite signs (or one of them must be zero). The result is within tol of
+// a true root. It is the plain reference Brent is checked against
+// (TestBrentMatchesBisect); production code uses Brent.
+func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	fa, fb := f(a), f(b)
+	if fa == 0 {
+		return a, nil
+	}
+	if fb == 0 {
+		return b, nil
+	}
+	if math.Signbit(fa) == math.Signbit(fb) {
+		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
+	}
+	for i := 0; i < 200; i++ {
+		m := a + (b-a)/2
+		fm := f(m)
+		if fm == 0 || (b-a)/2 < tol {
+			return m, nil
+		}
+		if math.Signbit(fm) == math.Signbit(fa) {
+			a, fa = m, fm
+		} else {
+			b = m
+		}
+	}
+	return a + (b-a)/2, nil // 200 halvings exhaust float64 resolution
+}
 
 func TestBisectSimpleRoots(t *testing.T) {
 	cases := []struct {

@@ -18,21 +18,23 @@
 //     pull recovery.
 //   - LRG (Local Retransmission-based Gossip, Jia et al. [9]):
 //     probabilistic flooding over a bounded-degree neighbor overlay with
-//     NACK-style local repair rounds, plus its SI epidemic ODE model.
+//     NACK-style local repair rounds.
 //   - Flooding: the best-effort baseline — forward to every member on
 //     first receipt (fanout n−1), maximal reliability and maximal cost.
 //
 // All protocols share the paper's failure model: a fail-stop alive mask
 // with the source protected.
 //
-// # Two execution substrates, one oracle
+// # Two execution substrates
 //
 // Every baseline has two executions:
 //
-//   - The legacy pure round loops (RunPbcast, RunLpbcast, RunAntiEntropy,
-//     RunRDG, RunLRG, RunFlooding): synchronous-round simulations with no
-//     notion of time, latency, or mid-run faults beyond the static mask.
-//     They are kept as the equivalence oracle.
+//   - The pure round loops: synchronous-round simulations with no notion
+//     of time, latency, or mid-run faults beyond the static mask.
+//     RunPbcast, RunAntiEntropy, RunLRG and RunFlooding are the fast path
+//     of the loss-free protocol ablation in internal/experiment; the RDG
+//     and lpbcast loops have no production caller and live in
+//     oracle_test.go. All six are the equivalence oracle.
 //   - The discrete-event runtime (RunOnDES over a Spec): the same
 //     protocol logic driven by the shared sim.Kernel round ticker with
 //     every gossip, digest, NACK, and pull reply routed through a
@@ -42,8 +44,9 @@
 //     internal/core.
 //
 // Under a zero-latency, no-loss network the DES execution consumes the
-// protocol RNG stream in exactly the legacy order and fires deliveries in
-// legacy iteration order, so its results are identical to the oracle's —
+// protocol RNG stream in exactly the round loop's order and fires
+// deliveries in its iteration order, so its results are identical to the
+// loop's —
 // equiv_test.go pins this per protocol, golden values included. The
 // runtime recycles run state through core.NetArena (zero O(n) allocations
 // on a warm arena) and exposes a core.NetRun so scenario campaigns inject

@@ -3,7 +3,6 @@ package protocols
 import (
 	"fmt"
 
-	"gossipkit/internal/epidemic"
 	"gossipkit/internal/failure"
 	"gossipkit/internal/graph"
 	"gossipkit/internal/xrand"
@@ -107,22 +106,6 @@ func RunPbcast(p PbcastParams, r *xrand.RNG) (Result, error) {
 	}
 	finish(&res)
 	return res, nil
-}
-
-// PbcastPredictedRounds returns the expected number of rounds for push
-// gossip with per-round fanout f to infect a group of n members (the
-// classic log-time bound: ~log_{f+1}(n) growth plus a tail).
-func PbcastPredictedRounds(n, fanout int) int {
-	if n <= 1 || fanout < 1 {
-		return 0
-	}
-	rounds := 0
-	infected := 1.0
-	for infected < float64(n) && rounds < 10*n {
-		infected *= float64(1 + fanout)
-		rounds++
-	}
-	return rounds
 }
 
 // ---------------------------------------------------------------------------
@@ -237,15 +220,6 @@ func RunLRG(p LRGParams, r *xrand.RNG) (Result, error) {
 	}
 	finish(&res)
 	return res, nil
-}
-
-// LRGEpidemicFraction integrates the SI balance equation the LRG paper [9]
-// uses, di/dt = beta·i·(1−i), from initial infected fraction i0 over time
-// horizon t, returning the infected fraction. This is the analytic
-// counterpart RunLRG is compared against; the integration lives in
-// internal/epidemic.
-func LRGEpidemicFraction(beta, i0, t float64) (float64, error) {
-	return epidemic.SIFraction(beta, i0, t)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import (
 )
 
 // EventUpdate is one progress snapshot of a single long execution,
-// denominated in kernel events fired rather than completed runs — the
-// sweep Progress tracker is useless for one n=10⁷ run that IS the whole
-// workload.
+// denominated in kernel events fired rather than completed runs, so one
+// n=10⁷ run that IS the whole workload still reports progress.
 type EventUpdate struct {
 	// Events is the total kernel events fired so far; EstTotal the
 	// caller's estimate of the final count (0 when unknown).

@@ -68,7 +68,7 @@ type CompareConfig struct {
 	// it. A cell's seed depends only on (scenario, replication) — NOT on
 	// the protocol row — so every protocol faces byte-identical campaign
 	// randomness (the same crash victims at the same instants), and the
-	// paper row reproduces the single-protocol Sweep cells exactly.
+	// paper row reproduces the single-protocol SweepCtx cells exactly.
 	BaseSeed uint64
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS. The result
 	// is identical for any worker count.

@@ -19,7 +19,7 @@
 // (params, scenario, seed): repeated runs with the same seed are
 // byte-identical.
 //
-// The sweep runners (Sweep, SweepScenarioGrid) replicate scenarios × seeds
+// The sweep runners (SweepCtx, SweepGridCtx) replicate scenarios × seeds
 // on a worker pool; cells are data-independent and reduced in grid order,
 // so output is byte-identical for any worker count. Each worker recycles
 // one core.NetArena, so after its first run a worker executes campaigns

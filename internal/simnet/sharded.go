@@ -187,10 +187,6 @@ func (sn *ShardedNet) Buffered() int {
 // Owner returns the shard owning id's block.
 func (sn *ShardedNet) Owner(id NodeID) int { return int(id) / sn.block }
 
-// Block returns the member-id block size (shard s owns
-// [s·Block, min((s+1)·Block, N))).
-func (sn *ShardedNet) Block() int { return sn.block }
-
 // Shards returns the shard count.
 func (sn *ShardedNet) Shards() int { return sn.shards }
 

@@ -259,6 +259,16 @@ type Config struct {
 	Tracer Tracer
 }
 
+// Validate rejects a configuration the network cannot honour: a
+// BernoulliLoss whose probability is NaN or outside [0,1] would otherwise
+// run, dropping everything or nothing.
+func (c Config) Validate() error {
+	if b, ok := c.Loss.(BernoulliLoss); ok && !(b.P >= 0 && b.P <= 1) {
+		return fmt.Errorf("simnet: loss probability %g outside [0,1]", b.P)
+	}
+	return nil
+}
+
 // inflight is the pooled payload slot of one message in transit. The
 // destination rides in the event record itself (its node word); the slot
 // holds the rest. Slots are recycled through a free list, so the

@@ -1,29 +1,25 @@
 #!/bin/sh
 # lint-api.sh — fail CI when cmd/ or examples/ bypass the facade's engine
-# API.
+# specs to reach the protocol baselines.
 #
 # Two gates, both greps (no linter dependency, runs anywhere a POSIX shell
 # does):
 #
-#   1. The pre-Engine entry points (Execute, ExecuteOnNetwork[Reusing],
-#      MeasureReliability, MeasureGiantComponent, RunSuccess, RunScenario,
-#      SweepScenarios, SweepScenarioGrid, NewNetArena) survive only as
-#      back-compat shims over gossipkit.Run/RunMany; everything the
-#      repository itself ships must sit on the unified engine API.
-#   2. The legacy synchronous round loops (protocols.RunPbcast,
-#      RunLpbcast, RunAntiEntropy, RunRDG, RunLRG, RunFlooding) are the
-#      equivalence ORACLE for the DES protocol runtime, not an execution
-#      path: cmd/ and examples/ must reach the baselines through the
-#      engine specs (Pbcast, ..., Flooding, Compare), which run on the
-#      sim kernel + simnet substrate. Importing internal/protocols from
-#      cmd/ or examples/ is blocked for the same reason — the facade specs
-#      are the only supported protocol surface. (Other internal imports —
-#      the sim/simnet substrate the node demos build on — stay allowed.)
+#   1. The synchronous round loops (protocols.RunPbcast, RunAntiEntropy,
+#      RunLRG, RunFlooding) are the loss-free fast path of the protocol
+#      ablation in internal/experiment, not a public execution path: cmd/
+#      and examples/ must reach the baselines through the engine specs
+#      (Pbcast, ..., Flooding, Compare), which run on the sim kernel +
+#      simnet substrate. (The RDG and lpbcast loops exist only in
+#      internal/protocols' tests, so the compiler keeps them out.)
+#   2. Importing internal/protocols from cmd/ or examples/ is blocked for
+#      the same reason — the facade specs are the only supported protocol
+#      surface. (Other internal imports — the sim/simnet substrate the
+#      node demos build on — stay allowed.)
 set -eu
 cd "$(dirname "$0")/.."
 
-deprecated='Execute|ExecuteOnNetwork|ExecuteOnNetworkReusing|MeasureReliability|MeasureGiantComponent|RunSuccess|RunScenario|SweepScenarios|SweepScenarioGrid|NewNetArena'
-legacy_loops='RunPbcast|RunLpbcast|RunAntiEntropy|RunRDG|RunLRG|RunFlooding'
+legacy_loops='RunPbcast|RunAntiEntropy|RunLRG|RunFlooding'
 
 for dir in cmd examples; do
     if [ ! -d "$dir" ]; then
@@ -53,14 +49,11 @@ scan() {
     esac
 }
 
-scan "gossipkit\.($deprecated)\(" \
-    "deprecated facade shims referenced outside the compat layer" \
-    "migrate to gossipkit.Run/RunMany (see the migration table in README.md)"
 scan "($legacy_loops)\(" \
     "legacy round-loop entry points referenced" \
-    "the pure round loops are the DES runtime's equivalence oracle; use the engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)"
+    "the round loops are an internal fast path; use the engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)"
 scan "\"gossipkit/internal/protocols\"" \
     "internal/protocols imported" \
     "reach the baselines through the facade engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)"
 
-echo "api-lint: cmd/ and examples/ are clean (no deprecated shims, legacy round loops, or protocols imports)"
+echo "api-lint: cmd/ and examples/ are clean (no round loops or protocols imports)"
